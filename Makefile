@@ -40,6 +40,8 @@ test-conformance:
 conform:
 	$(PYTHON) -m repro.cli conform
 	$(PYTHON) -m repro.cli conform --shards 2
+	$(PYTHON) -m repro.cli conform --offload
+	$(PYTHON) -m repro.cli conform --offload --shards 2
 	$(PYTHON) -m repro.cli conform --replay tests/corpus
 
 bench:

@@ -200,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="with --hunt: persist the shrunk "
                               "counterexample as a corpus entry here")
     conform.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="run schedules against a sharded control "
-                              "plane of N controller replicas "
+                         help="run schedules against a controller split "
+                              "into N shards "
                               "(default 1: the classic controller)")
     conform.add_argument("--offload", action="store_true",
                          help="run schedules with data-plane offload on "
@@ -227,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replay rate in packets/second")
     chain.add_argument("--seed", type=int, default=5)
     chain.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="run against a sharded control plane of N "
-                            "replicas")
+                       help="run against a controller split into N "
+                            "shards")
     chain.add_argument("--faults", metavar="SPEC", default=None,
                        help="fault-plan spec, e.g. 'seed=3,drop=0.05' "
                             "(default: $OPENNF_FAULTS if set)")
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="replay rate in packets/second")
     top.add_argument("--seed", type=int, default=7)
     top.add_argument("--shards", type=int, default=1,
-                     help="controller replicas (>1 shards the plane)")
+                     help="controller shards (default 1)")
     top.add_argument("--offload", action="store_true",
                      help="enable data-plane offload for the move")
     top.add_argument("--interval", type=float, default=1000.0,

@@ -1,7 +1,7 @@
 """The OpenNF controller: northbound API and its operations."""
 
 from repro.controller.chain import Chain, ChainOperation, ChainSpec
-from repro.controller.controller import OpenNFController
+from repro.controller.controller import OpenNFController, Shard
 from repro.controller.copy import CopyOperation
 from repro.controller.forwarding import SwitchClient
 from repro.controller.journal import Journal, JournalEntry
@@ -14,11 +14,7 @@ from repro.controller.operation import (
 from repro.controller.pipeline import WindowedPutPipeline
 from repro.controller.reports import OperationReport
 from repro.controller.share import ShareOperation
-from repro.controller.sharding import (
-    CrossShardOperation,
-    ShardedControlPlane,
-    ShardMap,
-)
+from repro.controller.sharding import CrossShardOperation, ShardMap
 
 __all__ = [
     "Chain",
@@ -35,7 +31,7 @@ __all__ = [
     "Operation",
     "OperationAborted",
     "OperationReport",
-    "ShardedControlPlane",
+    "Shard",
     "ShardMap",
     "ShareOperation",
     "SwitchClient",

@@ -46,9 +46,11 @@ from repro.flowspace.filter import Filter
 from repro.net.flowtable import HIGH_PRIORITY, MID_PRIORITY
 from repro.nf.base import NFCrash
 from repro.nf.southbound import SouthboundError
-from repro.controller.move import Guarantee
+from repro.nf.state import normalize_scope
+from repro.controller.move import Guarantee, MoveOperation
 from repro.controller.operation import Operation
 from repro.controller.reports import OperationReport
+from repro.controller.share import ShareOperation
 
 
 class ChainSpec:
@@ -210,7 +212,7 @@ class ChainOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         chain: Chain,
         flt: Filter,
         dst_map: Dict[str, str],
@@ -223,7 +225,8 @@ class ChainOperation(Operation):
     ) -> None:
         if mode not in ("move", "scale"):
             raise ValueError("unknown chain operation mode %r" % mode)
-        self.controller = controller
+        self.shard = shard
+        self.controller = controller = shard.controller
         self.sim = controller.sim
         self.chain = chain
         self.flt = flt
@@ -299,7 +302,7 @@ class ChainOperation(Operation):
             mode=mode,
             hops=self._hops_attr(),
             instances=",".join(involved),
-            **controller.trace_attrs,
+            **shard.labels,
         )
         if self.trace.root.span_id is not None:
             self.trace.root.set(op_id=self.trace.root.span_id)
@@ -342,20 +345,24 @@ class ChainOperation(Operation):
 
     # ----------------------------------------------------------------- driver
 
-    def _start_hop(self, plan: _HopPlan) -> Operation:
+    def _hop_move(self, plan: _HopPlan, src: str, dst: str,
+                  guarantee: Guarantee, **attrs: str) -> MoveOperation:
+        """A chain-aware move of one hop, outside admission control."""
         chain = self.chain
-        start, _ = self.controller._move_start(
-            plan.src, plan.dst, self.flt,
-            scope=self.scope,
-            guarantee=plan.guarantee,
+        return MoveOperation(
+            self.shard,
+            src=self.controller.client(src),
+            dst=self.controller.client(dst),
+            flt=self.flt,
+            scopes=normalize_scope(self.scope),
+            guarantee=guarantee,
             parallel=self.parallel,
             drain_grace_ms=self.drain_grace_ms,
             route_actions=lambda port, index=plan.index: chain.route_for(
                 index, port
             ),
-            trace_attrs=self._chain_trace_attrs(plan),
+            trace_attrs=dict(self._chain_trace_attrs(plan), **attrs),
         )
-        return start()
 
     def _normalize(self, index: int, port: str):
         """Collapse a hop's post-move rules back to one MID multicast rule.
@@ -389,7 +396,8 @@ class ChainOperation(Operation):
                 with self.trace.phase(
                     "hop-%s" % plan.hop_name, mark="hop-%s" % plan.hop_name
                 ):
-                    operation = self._start_hop(plan)
+                    operation = self._hop_move(plan, plan.src, plan.dst,
+                                               plan.guarantee)
                     self._current = operation
                     yield operation.done
                     self._current = None
@@ -459,21 +467,8 @@ class ChainOperation(Operation):
             if plan.index in self._rolled_back:
                 continue
             self._rolled_back.add(plan.index)
-            chain = self.chain
-            start, _ = self.controller._move_start(
-                plan.dst, plan.src, self.flt,
-                scope=self.scope,
-                guarantee=Guarantee.LOSS_FREE,
-                parallel=self.parallel,
-                drain_grace_ms=self.drain_grace_ms,
-                route_actions=lambda port, index=plan.index: chain.route_for(
-                    index, port
-                ),
-                trace_attrs=dict(
-                    self._chain_trace_attrs(plan), rollback="1"
-                ),
-            )
-            reverse = start()
+            reverse = self._hop_move(plan, plan.dst, plan.src,
+                                     Guarantee.LOSS_FREE, rollback="1")
             yield reverse.done
             if reverse.report.aborted:
                 self.report.notes.append(
@@ -515,11 +510,14 @@ class ChainOperation(Operation):
                 continue
             inst_a = self.chain.hop(a).active
             inst_b = self.chain.hop(b).active
-            start, _ = self.controller._share_start(
-                [inst_a, inst_b], self.flt,
-                scope="multi", consistency="strong",
+            share = ShareOperation(
+                self.shard,
+                instances=[self.controller.client(inst_a),
+                           self.controller.client(inst_b)],
+                flt=self.flt,
+                scopes=normalize_scope("multi"),
+                consistency="strong",
             )
-            share = start()
             yield share.started
             yield share.stop()
             self.report.notes.append(

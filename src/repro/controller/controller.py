@@ -20,6 +20,16 @@ each, modeling the prototype's single-threaded message handling: §8.3's
 profile found controller "threads are busy reading from sockets most of
 the time", and this queue is why heavy event traffic stretches
 operations and why Figure 13's per-move time grows with concurrency.
+
+``shards=N`` removes that wall the way distributed SDN controllers do:
+flow-space *ownership* is partitioned across N :class:`Shard` objects,
+each with its own inbox and admission table, so operations over
+different shards proceed in parallel. Everything else — registration,
+the interest lists, the switch client, the northbound API — exists once
+and is shared by every shard. With one shard nothing is routed: every
+message enters the one inbox, which is the classic single controller.
+The shard map and the cross-shard ownership handshake live in
+:mod:`repro.controller.sharding`.
 """
 
 from __future__ import annotations
@@ -32,12 +42,16 @@ from repro.net.channel import BatchConfig, ControlChannel
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.nf.base import NetworkFunction
-from repro.nf.events import EVENT_ACK_BYTES, PacketEvent
+from repro.nf.events import EVENT_ACK_BYTES, EventAction, PacketEvent
 from repro.nf.southbound import NFClient
 from repro.nf.state import normalize_scope
+from repro.controller.chain import ChainOperation
+from repro.controller.copy import CopyOperation
 from repro.controller.forwarding import SwitchClient
+from repro.controller.move import Guarantee, MoveOperation
 from repro.controller.operation import DeferredOperation, Operation
 from repro.controller.pump import ChunkPump
+from repro.controller.share import ShareOperation
 from repro.obs import NULL_OBS
 from repro.sim.core import Simulator
 
@@ -62,8 +76,153 @@ class _Interest:
         return self.filter is None or self.filter.matches_packet(packet)
 
 
+class Shard:
+    """What one shard of the controller owns: inbox, admission, labels.
+
+    Operations run on a shard: their streamed chunks pass through its
+    inbox, and their filters sit in its admission table until they
+    finish.
+    """
+
+    def __init__(self, controller: "OpenNFController", shard_id: int,
+                 labels: Dict[str, str]) -> None:
+        self.controller = controller
+        self.sim = controller.sim
+        self.shard_id = shard_id
+        #: ``{"shard": "<id>"}`` when there are several shards, else
+        #: empty; added to this shard's operation traces and metrics.
+        self.labels = labels
+        #: Serialized inbound-message handling loop (events, packet-ins,
+        #: streamed chunks), msg_proc_ms per message.
+        self.inbox = ChunkPump(controller.sim, controller.msg_proc_ms,
+                               controller._handle_inbox_item)
+        #: Admission table of in-flight operation filters (moves, copies,
+        #: AND shares): two simultaneous operations over overlapping flow
+        #: space would race on rules and state; the later one is deferred
+        #: until the earlier finishes. (handle -> (filter, done event))
+        self.admission: Dict[int, Tuple[Filter, Any]] = {}
+        self._operation_handle_counter = 0
+        self.events_received = 0
+        self.packet_ins_received = 0
+        # Pre-bound inbound-path telemetry (lazily rebuilt: bundles can
+        # be swapped). kind -> bound ctrl.inbox counter handle.
+        self._obs_cache_for = None
+        self._m_inbox: Dict[str, Any] = {}
+        self._ts_events = None
+        self._ts_ops = None
+
+    def inbox_metric(self, kind: str):
+        """Bound ``ctrl.inbox`` counter handle for one message kind.
+
+        First use per bundle also wires the shard-labelled time-series:
+        the inbox-depth gauge onto the pump's depth probe, the events/s
+        rate series, and the ops-in-flight gauge series.
+        """
+        obs = self.controller.obs
+        if self._obs_cache_for is not obs:
+            self._m_inbox = {}
+            self._obs_cache_for = obs
+            hub = getattr(obs, "timeseries", None)
+            self._ts_events = None
+            self._ts_ops = None
+            self.inbox.on_depth = None
+            if hub is not None:
+                labels = self.labels
+                self._ts_events = hub.series("ctrl.events", **labels)
+                self._ts_ops = hub.series(
+                    "ctrl.ops_in_flight", kind="gauge", **labels
+                )
+                depth_series = hub.series(
+                    "ctrl.inbox.depth", kind="gauge", **labels
+                )
+                sim = self.sim
+
+                def probe(depth, _series=depth_series, _sim=sim):
+                    _series.record(_sim.now, float(depth))
+
+                self.inbox.on_depth = probe
+        handle = self._m_inbox.get(kind)
+        if handle is None:
+            handle = self._m_inbox[kind] = obs.metrics.counter(
+                "ctrl.inbox"
+            ).bind(kind=kind, **self.labels)
+        return handle
+
+    def _record_ops_in_flight(self) -> None:
+        """Fold the admission-table size into the ops-in-flight gauge."""
+        if self.controller.obs.enabled:
+            self.inbox_metric("event")  # ensure series are wired
+            ts = self._ts_ops
+            if ts is not None:
+                ts.record(self.sim.now, float(len(self.admission)))
+
+    def conflicting(self, flt: Filter, before: Optional[int] = None
+                    ) -> List[Any]:
+        """Done-events of in-flight operations overlapping ``flt``.
+
+        ``before`` bounds the scan to handles admitted earlier than the
+        given one — a deferred operation re-checking conflicts at launch
+        must only wait on *older* entries (its own reservation, and
+        reservations of operations queued behind it, would otherwise
+        deadlock the FIFO chain).
+        """
+        return [
+            done for handle, (active_filter, done)
+            in self.admission.items()
+            if (before is None or handle < before)
+            and active_filter.intersects(flt)
+        ]
+
+    def reserve(self, flt: Filter, done) -> int:
+        """Hold ``flt`` in the admission table until ``done`` triggers.
+
+        Used both for live operations and for deferred ones: reserving
+        the deferred filter at submission time is what makes deferral
+        FIFO — a later overlapping operation defers behind the
+        reservation instead of leapfrogging it.
+        """
+        self._operation_handle_counter += 1
+        handle = self._operation_handle_counter
+        self.admission[handle] = (flt, done)
+        self._record_ops_in_flight()
+
+        def _release(_evt, _handle=handle):
+            self.admission.pop(_handle, None)
+            self._record_ops_in_flight()
+
+        done.add_callback(_release)
+        return handle
+
+    def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
+        """Route a streamed state chunk through the serialized inbox."""
+        if self.controller.obs.enabled:
+            self.inbox_metric("chunk").inc(1)
+        self.inbox.push(("chunk", chunk, handler))
+
+    def enqueue_chunks(
+        self, handler: Callable[[List[Any]], None], chunks: List[Any]
+    ) -> None:
+        """Route a multi-chunk frame through the inbox as ONE item.
+
+        The §8.3 fast path: a frame of N chunks costs one ``msg_proc_ms``
+        handling slot instead of N, and ``handler`` receives the whole
+        list at once.
+        """
+        chunks = list(chunks)
+        if not chunks:
+            return
+        if self.controller.obs.enabled:
+            self.inbox_metric("chunk-frame").inc(1)
+        self.inbox.push(("chunk", chunks, handler), weight=len(chunks))
+
+
 class OpenNFController:
-    """Northbound API provider and event/packet-in dispatcher."""
+    """Northbound API provider and event/packet-in dispatcher.
+
+    ``shards`` sets how many :class:`Shard` objects split the inbound
+    message handling and admission; ``handoff_latency_ms`` is the
+    inter-shard round trip of a cross-shard ownership handoff.
+    """
 
     def __init__(
         self,
@@ -78,7 +237,12 @@ class OpenNFController:
         retry=None,
         batching: Optional[BatchConfig] = None,
         offload: bool = False,
+        shards: int = 1,
+        handoff_latency_ms: float = 5.0,
     ) -> None:
+        # Imported here: repro.controller.sharding imports this module.
+        from repro.controller.sharding import ShardMap
+
         self.sim = sim
         self.obs = obs or NULL_OBS
         #: Data-plane offload (switch-local XFSM buffering): when True,
@@ -121,92 +285,48 @@ class OpenNFController:
         #: Incrementally maintained inverse of :attr:`nf_ports`, so
         #: per-packet port resolution is O(1) instead of a linear scan.
         self._port_to_nf: Dict[str, str] = {}
-        #: Sharding hooks: a replica inside a
-        #: :class:`~repro.controller.sharding.ShardedControlPlane` gets
-        #: its index, a back-reference to the plane (used to route
-        #: inbound messages to the owning replica's inbox), and extra
-        #: labels for operation traces / metrics. All inert (and the
-        #: timeline byte-identical) for a standalone controller.
-        self.shard_id: Optional[int] = None
-        self.plane = None
-        self.trace_attrs: Dict[str, str] = {}
-        self._shard_label: Dict[str, str] = {}
         self.switch: Optional[Switch] = None
         self.switch_client: Optional[SwitchClient] = None
         if switch is not None:
             self.attach_switch(switch)
         self._event_interests: List[_Interest] = []
         self._packet_interests: List[_Interest] = []
-        #: Serialized inbound-message handling loop (events, packet-ins,
-        #: streamed chunks), msg_proc_ms per message.
-        self.inbox = ChunkPump(self.sim, msg_proc_ms, self._handle_inbox_item)
         #: Fallback handler for events no operation claimed (used by apps).
         self.default_event_handler: Optional[Callable[[PacketEvent], None]] = None
-        self.events_received = 0
-        self.packet_ins_received = 0
-        #: Admission table of in-flight operation filters (moves, copies,
-        #: AND shares): two simultaneous operations over overlapping flow
-        #: space would race on rules and state; the later one is deferred
-        #: until the earlier finishes. (handle -> (filter, done event))
-        self._admission: Dict[int, Tuple[Filter, Any]] = {}
-        self._operation_handle_counter = 0
-        # Pre-bound inbound-path telemetry (lazily rebuilt: a sharded
-        # plane assigns shard labels after construction, and bundles
-        # can be swapped). kind -> bound ctrl.inbox counter handle.
-        self._obs_cache_for = None
-        self._m_inbox: Dict[str, Any] = {}
-        self._ts_events = None
-        self._ts_ops = None
         #: Total operations (any kind) deferred by admission control.
         self.operations_queued_for_conflict = 0
         #: Moves specifically (kept for the pre-unification callers).
         self.moves_queued_for_conflict = 0
+        self.shard_map = ShardMap(shards)
+        self.n_shards = shards
+        #: One control-channel round trip between shards: the cost of
+        #: the ownership-transfer message exchange in a cross-shard
+        #: handshake (the drain barrier is extra, and workload-driven).
+        self.handoff_latency_ms = handoff_latency_ms
+        self.replicas: List[Shard] = [
+            Shard(self, index, {"shard": str(index)} if shards > 1 else {})
+            for index in range(shards)
+        ]
+        #: Operation-lifetime routing claims: (filter, shard) in
+        #: submission order; oldest matching claim routes a message.
+        self._claims: List[Tuple[Filter, int]] = []
+        #: Persistent ownership overrides left by completed handoffs;
+        #: newest wins.
+        self._ownership: List[Tuple[Filter, int]] = []
+        self.cross_shard_operations = 0
+        self.handoffs_completed = 0
 
     # -------------------------------------------------------------------- wiring
 
-    def _inbox_metric(self, kind: str):
-        """Bound ``ctrl.inbox`` counter handle for one message kind.
+    @property
+    def events_received(self) -> int:
+        """NF events accepted into any shard's inbox."""
+        return sum(shard.events_received for shard in self.replicas)
 
-        First use per bundle also wires the shard-labelled time-series:
-        the inbox-depth gauge onto the pump's depth probe, the events/s
-        rate series, and the ops-in-flight gauge series.
-        """
-        if self._obs_cache_for is not self.obs:
-            self._m_inbox = {}
-            self._obs_cache_for = self.obs
-            hub = getattr(self.obs, "timeseries", None)
-            self._ts_events = None
-            self._ts_ops = None
-            self.inbox.on_depth = None
-            if hub is not None:
-                shard = self._shard_label
-                self._ts_events = hub.series("ctrl.events", **shard)
-                self._ts_ops = hub.series(
-                    "ctrl.ops_in_flight", kind="gauge", **shard
-                )
-                depth_series = hub.series(
-                    "ctrl.inbox.depth", kind="gauge", **shard
-                )
-                sim = self.sim
-
-                def probe(depth, _series=depth_series, _sim=sim):
-                    _series.record(_sim.now, float(depth))
-
-                self.inbox.on_depth = probe
-        handle = self._m_inbox.get(kind)
-        if handle is None:
-            handle = self._m_inbox[kind] = self.obs.metrics.counter(
-                "ctrl.inbox"
-            ).bind(kind=kind, **self._shard_label)
-        return handle
-
-    def _record_ops_in_flight(self) -> None:
-        """Fold the admission-table size into the ops-in-flight gauge."""
-        if self.obs.enabled:
-            self._inbox_metric("event")  # ensure series are wired
-            ts = self._ts_ops
-            if ts is not None:
-                ts.record(self.sim.now, float(len(self._admission)))
+    @property
+    def packet_ins_received(self) -> int:
+        """Switch packet-ins accepted into any shard's inbox."""
+        return sum(shard.packet_ins_received for shard in self.replicas)
 
     def _attach_faults(self, channel: ControlChannel) -> None:
         """Install the fault plan's injector for this channel, if any."""
@@ -376,13 +496,10 @@ class OpenNFController:
         return interest.handle
 
     def remove_interest(self, handle: int) -> None:
-        # Mutate in place: under a ShardedControlPlane the interest lists
-        # are literally shared between replicas, so rebinding one
-        # replica's attribute would silently fork the view.
-        self._event_interests[:] = [
+        self._event_interests = [
             i for i in self._event_interests if i.handle != handle
         ]
-        self._packet_interests[:] = [
+        self._packet_interests = [
             i for i in self._packet_interests if i.handle != handle
         ]
 
@@ -394,18 +511,16 @@ class OpenNFController:
         self._deliver_event(event)
 
     def _deliver_event(self, event: PacketEvent) -> None:
-        # Under a sharded plane, the replica holding the NF's southbound
-        # channel receives the event, but the replica *owning the flow*
-        # must dispatch it (its operations hold the interests).
-        target = self if self.plane is None \
-            else self.plane.shard_for_event(event)
-        target.events_received += 1
-        if target.obs.enabled:
-            target._inbox_metric("event").inc(1)
-            ts = target._ts_events
+        # The shard *owning the flow* dispatches the event: its
+        # operations are the ones waiting for it.
+        shard = self._shard_for(event.packet)
+        shard.events_received += 1
+        if self.obs.enabled:
+            shard.inbox_metric("event").inc(1)
+            ts = shard._ts_events
             if ts is not None:
-                ts.record(target.sim.now, 1.0)
-        target.inbox.push(("event", event, None))
+                ts.record(self.sim.now, 1.0)
+        shard.inbox.push(("event", event, None))
 
     def _handle_sequenced_event(self, event: PacketEvent) -> None:
         """Reliable event channel: ack, dedupe, and release in seq order.
@@ -430,7 +545,7 @@ class OpenNFController:
             self.events_duplicate_dropped += 1
             if self.obs.enabled:
                 self.obs.metrics.counter("ctrl.events.duplicates").inc(
-                    1, nf=event.nf_name, **self._shard_label
+                    1, nf=event.nf_name, **self._home_labels(event.nf_name)
                 )
             return
         state["pending"][event.seq] = event
@@ -458,7 +573,7 @@ class OpenNFController:
         self.events_gap_skipped += 1
         if self.obs.enabled:
             self.obs.metrics.counter("ctrl.events.gap_skipped").inc(
-                1, nf=nf_name, **self._shard_label
+                1, nf=nf_name, **self._home_labels(nf_name)
             )
         state["next"] = min(state["pending"])
         self._release_in_order(state)
@@ -478,36 +593,25 @@ class OpenNFController:
 
     def handle_packet_in(self, packet: Packet) -> None:
         """Entry point for packet-ins from the switch."""
-        self.packet_ins_received += 1
+        shard = self._shard_for(packet)
+        shard.packet_ins_received += 1
         if self.obs.enabled:
-            self._inbox_metric("packet-in").inc(1)
-        self.inbox.push(("packet-in", packet, None))
-
-    def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
-        """Route a streamed state chunk through the serialized inbox."""
-        if self.obs.enabled:
-            self._inbox_metric("chunk").inc(1)
-        self.inbox.push(("chunk", chunk, handler))
-
-    def enqueue_chunks(
-        self, handler: Callable[[List[Any]], None], chunks: List[Any]
-    ) -> None:
-        """Route a multi-chunk frame through the inbox as ONE item.
-
-        The §8.3 fast path: a frame of N chunks costs one ``msg_proc_ms``
-        handling slot instead of N, and ``handler`` receives the whole
-        list at once.
-        """
-        chunks = list(chunks)
-        if not chunks:
-            return
-        if self.obs.enabled:
-            self._inbox_metric("chunk-frame").inc(1)
-        self.inbox.push(("chunk", chunks, handler), weight=len(chunks))
+            shard.inbox_metric("packet-in").inc(1)
+        shard.inbox.push(("packet-in", packet, None))
 
     def inbox_drained(self):
-        """Event firing when everything queued so far has been handled."""
-        return self.inbox.drained()
+        """Fires once every shard has handled what it had queued so far."""
+        combined = self.sim.event("inbox-drained")
+        remaining = [len(self.replicas)]
+
+        def one_drained(_evt) -> None:
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                combined.trigger()
+
+        for shard in self.replicas:
+            shard.inbox.drained().add_callback(one_drained)
+        return combined
 
     def _handle_inbox_item(self, item) -> None:
         kind, payload, handler = item
@@ -524,73 +628,95 @@ class OpenNFController:
                 interest.callback(packet)
                 return
 
+    # ------------------------------------------------------------------- routing
+
+    def _shard_for(self, packet: Packet) -> Shard:
+        """The shard whose inbox serializes a message about ``packet``."""
+        if self.n_shards == 1:
+            return self.replicas[0]
+        return self.replicas[self._route_headers(packet.headers())]
+
+    def _route_headers(self, headers) -> int:
+        for flt, shard in self._claims:  # oldest claim wins
+            if flt.matches_headers(headers):
+                return shard
+        for flt, shard in reversed(self._ownership):  # newest handoff wins
+            if flt.matches_headers(headers):
+                return shard
+        return self.shard_map.shard_for_headers(headers)
+
+    def _owner_shard(self, flt: Filter) -> int:
+        """Which shard owns (most of) ``flt``'s flow space right now."""
+        for owned, shard in reversed(self._ownership):
+            if owned.intersects(flt):
+                return shard
+        return self.shard_map.shard_for_filter(flt)
+
+    def _home_labels(self, nf_name: str) -> Dict[str, str]:
+        """Labels of the shard an NF's southbound connection homes on."""
+        return self.replicas[self.shard_map.shard_for_name(nf_name)].labels
+
     # ----------------------------------------------------------------- admission
 
-    def _conflicting(self, flt: Filter, exclude=(),
-                     before: Optional[int] = None) -> List[Any]:
-        """Done-events of in-flight operations overlapping ``flt``.
+    def _submit(self, kind: str, flt: Filter,
+                start: Callable[[Shard], Operation], guarantee: Any = None):
+        """Start ``start(home)`` now, or defer it behind conflicting flow space.
 
-        ``exclude`` lists admission handles to skip. ``before`` bounds
-        the scan to handles admitted earlier than the given one — a
-        deferred operation re-checking conflicts at launch must only
-        wait on *older* entries (its own reservation, and reservations
-        of operations queued behind it, would otherwise deadlock the
-        FIFO chain).
-        """
-        return [
-            done for handle, (active_filter, done)
-            in self._admission.items()
-            if handle not in exclude
-            and (before is None or handle < before)
-            and active_filter.intersects(flt)
-        ]
-
-    def _reserve(self, flt: Filter, done) -> int:
-        """Hold ``flt`` in the admission table until ``done`` triggers.
-
-        Used both for live operations and for deferred ones: reserving
-        the deferred filter at submission time is what makes deferral
-        FIFO — a later overlapping operation defers behind the
-        reservation instead of leapfrogging it.
-        """
-        self._operation_handle_counter += 1
-        handle = self._operation_handle_counter
-        self._admission[handle] = (flt, done)
-        self._record_ops_in_flight()
-
-        def _release(_evt, _handle=handle):
-            self._admission.pop(_handle, None)
-            self._record_ops_in_flight()
-
-        done.add_callback(_release)
-        return handle
-
-    def _track_operation(self, flt: Filter, operation):
-        """Enter a live operation into the admission table until done."""
-        self._reserve(flt, operation.done)
-        return operation
-
-    def _admit(self, kind: str, flt: Filter, start, guarantee: Any = None):
-        """Start ``start()`` now, or defer it behind conflicting flow space.
-
-        One admission table covers move, copy, AND share: any in-flight
-        operation whose filter intersects ``flt`` defers the newcomer
-        (uniformly — an overlapping copy during a move used to race
-        unguarded). Callers always receive the same
+        The operation runs on ``home``, the shard owning ``flt``. One
+        admission step covers move, copy, share, AND chain operations:
+        an in-flight operation on ``home`` whose filter intersects
+        ``flt`` defers the newcomer behind it (FIFO); one on another
+        shard makes it a
+        :class:`~repro.controller.sharding.CrossShardOperation`, which
+        also hands ownership of the flow space to ``home`` before it
+        starts. Callers always receive the same
         :class:`~repro.controller.operation.Operation` handle surface.
         """
-        conflicts = self._conflicting(flt)
+        if self.n_shards == 1:
+            home = self.replicas[0]
+        else:
+            home = self.replicas[self._owner_shard(flt)]
+        prior_owners = []
+        conflicts: List[Any] = []
+        for shard in self.replicas:
+            if shard is not home:
+                foreign = shard.conflicting(flt)
+                if foreign:
+                    prior_owners.append(shard)
+                    conflicts.extend(foreign)
+        conflicts.extend(home.conflicting(flt))
         if not conflicts:
-            return self._track_operation(flt, start())
-        self.operations_queued_for_conflict += 1
-        if kind == "move":
-            self.moves_queued_for_conflict += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("ctrl.admission.deferred").inc(
-                1, kind=kind, **self._shard_label
-            )
-        return DeferredOperation(self, kind, flt, conflicts, start,
-                                 guarantee=guarantee)
+            operation = start(home)
+            home.reserve(flt, operation.done)
+        else:
+            self.operations_queued_for_conflict += 1
+            if kind == "move":
+                self.moves_queued_for_conflict += 1
+            cross = {"cross_shard": "true"} if prior_owners else {}
+            if self.obs.enabled:
+                self.obs.metrics.counter("ctrl.admission.deferred").inc(
+                    1, kind=kind, **cross, **home.labels
+                )
+            if prior_owners:
+                from repro.controller.sharding import CrossShardOperation
+
+                self.cross_shard_operations += 1
+                operation = CrossShardOperation(
+                    home, kind, flt, conflicts, start,
+                    guarantee=guarantee, prior_owners=prior_owners,
+                )
+            else:
+                operation = DeferredOperation(home, kind, flt, conflicts,
+                                              start, guarantee=guarantee)
+        if self.n_shards > 1:
+            self._claim(flt, home.shard_id, operation.done)
+        return operation
+
+    def _claim(self, flt: Filter, shard: int, done) -> None:
+        """Route ``flt``'s messages to ``shard`` until ``done`` triggers."""
+        entry = (flt, shard)
+        self._claims.append(entry)
+        done.add_callback(lambda _evt: self._claims.remove(entry))
 
     # ---------------------------------------------------------------- northbound
 
@@ -617,35 +743,11 @@ class OpenNFController:
         flow space conflicts with an in-flight operation); its ``done``
         event triggers with the operation report.
         """
-        start, parsed = self._move_start(
-            src, dst, flt, scope=scope, guarantee=guarantee,
-            parallel=parallel, early_release=early_release,
-            compress=compress, peer_to_peer=peer_to_peer,
-            drain_grace_ms=drain_grace_ms,
-        )
-        return self._admit("move", flt, start, guarantee=parsed)
-
-    def _move_start(
-        self, src, dst, flt, scope="per", guarantee="loss-free",
-        parallel=True, early_release=False, compress=False,
-        peer_to_peer=False, drain_grace_ms=30.0,
-        route_actions=None, trace_attrs=None,
-    ):
-        """Build (start-closure, parsed guarantee) for a move.
-
-        Split from :meth:`move` so a sharded plane can construct the
-        operation on the owning replica after its own admission step.
-        ``route_actions``/``trace_attrs`` let a chain operation make each
-        hop move chain-aware (full action lists on reroute installs,
-        chain-scoped trace attributes) without widening ``move()``.
-        """
-        from repro.controller.move import Guarantee, MoveOperation
-
         parsed = Guarantee.parse(guarantee)
 
-        def start() -> MoveOperation:
+        def start(shard: Shard) -> MoveOperation:
             return MoveOperation(
-                controller=self,
+                shard,
                 src=self.client(src),
                 dst=self.client(dst),
                 flt=flt,
@@ -656,28 +758,17 @@ class OpenNFController:
                 compress=compress,
                 peer_to_peer=peer_to_peer,
                 drain_grace_ms=drain_grace_ms,
-                route_actions=route_actions,
-                trace_attrs=trace_attrs,
             )
 
-        return start, parsed
+        return self._submit("move", flt, start, guarantee=parsed)
 
     def copy(self, src: Any, dst: Any, flt: Filter, scope: Any = "multi",
              parallel: bool = True, compress: bool = False) -> Operation:
         """``copy(srcInst, dstInst, filter, scope)`` (§5.2.1)."""
-        start, _ = self._copy_start(
-            src, dst, flt, scope=scope, parallel=parallel,
-            compress=compress,
-        )
-        return self._admit("copy", flt, start)
 
-    def _copy_start(self, src, dst, flt, scope="multi", parallel=True,
-                    compress=False):
-        from repro.controller.copy import CopyOperation
-
-        def start() -> CopyOperation:
+        def start(shard: Shard) -> CopyOperation:
             return CopyOperation(
-                controller=self,
+                shard,
                 src=self.client(src),
                 dst=self.client(dst),
                 flt=flt,
@@ -686,7 +777,7 @@ class OpenNFController:
                 compress=compress,
             )
 
-        return start, None
+        return self._submit("copy", flt, start)
 
     def share(
         self,
@@ -697,19 +788,10 @@ class OpenNFController:
         group_by: str = "host",
     ) -> Operation:
         """``share(list<inst>, filter, scope, consistency)`` (§5.2.2)."""
-        start, parsed = self._share_start(
-            instances, flt, scope=scope, consistency=consistency,
-            group_by=group_by,
-        )
-        return self._admit("share", flt, start, guarantee=parsed)
 
-    def _share_start(self, instances, flt, scope="multi",
-                     consistency="strong", group_by="host"):
-        from repro.controller.share import ShareOperation
-
-        def start() -> ShareOperation:
+        def start(shard: Shard) -> ShareOperation:
             return ShareOperation(
-                controller=self,
+                shard,
                 instances=[self.client(i) for i in instances],
                 flt=flt,
                 scopes=normalize_scope(scope),
@@ -717,7 +799,7 @@ class OpenNFController:
                 group_by=group_by,
             )
 
-        return start, consistency
+        return self._submit("share", flt, start, guarantee=consistency)
 
     def move_chain(
         self,
@@ -736,15 +818,15 @@ class OpenNFController:
         instance) tail-to-head under one composite
         :class:`~repro.controller.chain.ChainOperation` handle, so no
         packet ever crosses a half-migrated chain. ``hop_guarantees``
-        optionally overrides the guarantee per hop (by hop name).
+        optionally overrides the guarantee per hop (by hop name). The
+        composite and every hop move inside it run on the shard owning
+        the chain filter.
         """
-        start, parsed = self._chain_start(
-            chain, flt, dst_map, guarantee=guarantee, scope=scope,
+        return self._submit_chain(
+            chain, flt, dst_map or {}, guarantee, scope=scope,
             parallel=parallel, drain_grace_ms=drain_grace_ms,
             hop_guarantees=hop_guarantees,
         )
-        use_flt = flt if flt is not None else chain.flt
-        return self._admit("chain", use_flt, start, guarantee=parsed)
 
     def scale_chain(
         self,
@@ -765,47 +847,26 @@ class OpenNFController:
         instance set; the sub-filter keeps routing to the new instance
         afterwards (recorded as a chain override).
         """
-        start, parsed = self._chain_start(
-            chain, flt, {hop: new_instance}, guarantee=guarantee,
-            scope=scope, parallel=parallel, drain_grace_ms=drain_grace_ms,
-            mode="scale",
+        return self._submit_chain(
+            chain, flt, {hop: new_instance}, guarantee, scope=scope,
+            parallel=parallel, drain_grace_ms=drain_grace_ms, mode="scale",
         )
-        use_flt = flt if flt is not None else chain.flt
-        return self._admit("chain", use_flt, start, guarantee=parsed)
 
-    def _chain_start(
-        self, chain, flt=None, dst_map=None, guarantee="loss-free",
-        scope="per", parallel=True, drain_grace_ms=30.0,
-        hop_guarantees=None, mode="move",
-    ):
-        """Build (start-closure, parsed guarantee) for a chain operation.
+    def _submit_chain(self, chain, flt, dst_map, guarantee, **options):
+        """Admit a :class:`~repro.controller.chain.ChainOperation`.
 
-        Mirrors :meth:`_move_start` so the sharded plane can construct
-        the composite on the owning replica. The per-hop moves inside
-        the chain bypass admission — the chain's own reservation already
-        covers the filter.
+        The per-hop moves inside the chain bypass admission — the
+        chain's own reservation already covers the filter.
         """
-        from repro.controller.chain import ChainOperation
-        from repro.controller.move import Guarantee
-
         parsed = Guarantee.parse(guarantee)
         use_flt = flt if flt is not None else chain.flt
 
-        def start() -> ChainOperation:
-            return ChainOperation(
-                controller=self,
-                chain=chain,
-                flt=use_flt,
-                dst_map=dict(dst_map or {}),
-                guarantee=parsed,
-                scope=scope,
-                parallel=parallel,
-                drain_grace_ms=drain_grace_ms,
-                hop_guarantees=hop_guarantees,
-                mode=mode,
-            )
+        def start(shard: Shard) -> ChainOperation:
+            return ChainOperation(shard, chain=chain, flt=use_flt,
+                                  dst_map=dict(dst_map), guarantee=parsed,
+                                  **options)
 
-        return start, parsed
+        return self._submit("chain", use_flt, start, guarantee=parsed)
 
     def notify(
         self,
@@ -820,8 +881,6 @@ class OpenNFController:
         for packets matching ``flt`` and routes them to ``callback``.
         Returns the interest handle (None when disabling).
         """
-        from repro.nf.events import EventAction
-
         client = self.client(inst)
         if enable:
             if callback is None:

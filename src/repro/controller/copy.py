@@ -29,7 +29,7 @@ class CopyOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         src,
         dst,
         flt: Filter,
@@ -37,7 +37,8 @@ class CopyOperation(Operation):
         parallel: bool = True,
         compress: bool = False,
     ) -> None:
-        self.controller = controller
+        self.shard = shard
+        self.controller = controller = shard.controller
         self.sim = controller.sim
         self.src = src
         self.dst = dst
@@ -68,7 +69,7 @@ class CopyOperation(Operation):
             src=src.name,
             dst=dst.name,
             scopes=",".join(s.value for s in scopes),
-            **controller.trace_attrs,
+            **shard.labels,
         )
         # Causally bound stubs (pass-throughs while tracing is off):
         # every get/put RPC below inherits this copy's trace_id.
@@ -180,11 +181,11 @@ class CopyOperation(Operation):
                     yield getter(
                         self.flt,
                         stream_frame=lambda frame, _h=handle_chunk_frame: (
-                            self.controller.enqueue_chunks(_h, frame)
+                            self.shard.enqueue_chunks(_h, frame)
                         ),
                         compress=self.compress,
                     )
-                    yield self.controller.inbox_drained()
+                    yield self.shard.inbox.drained()
                     yield pipeline.drained()
                     self._checkpoint()
                 elif self.parallel:
@@ -197,12 +198,12 @@ class CopyOperation(Operation):
 
                     yield getter(
                         self.flt,
-                        stream=lambda c: self.controller.enqueue_chunk(
+                        stream=lambda c: self.shard.enqueue_chunk(
                             handle_chunk, c
                         ),
                         compress=self.compress,
                     )
-                    yield self.controller.inbox_drained()
+                    yield self.shard.inbox.drained()
                     if put_events:
                         yield AllOf(put_events)
                 else:

@@ -95,7 +95,7 @@ class MoveOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         src,
         dst,
         flt: Filter,
@@ -120,7 +120,8 @@ class MoveOperation(Operation):
             )
         if peer_to_peer and not parallel:
             raise ValueError("peer-to-peer transfer implies chunk streaming")
-        self.controller = controller
+        self.shard = shard
+        self.controller = controller = shard.controller
         self.sim = controller.sim
         self.src = src
         self.dst = dst
@@ -142,7 +143,7 @@ class MoveOperation(Operation):
         #: buffer and the strong variant *requires* the controller as
         #: the serialization point. ``controller.offload`` is False by
         #: default, keeping the classic timeline byte-identical.
-        self.offload = bool(getattr(controller, "offload", False)) and (
+        self.offload = controller.offload and (
             guarantee in (Guarantee.LOSS_FREE, Guarantee.ORDER_PRESERVING)
         )
         #: True once the machine is installed (drives abort cleanup).
@@ -168,7 +169,7 @@ class MoveOperation(Operation):
         #: Observability bundle shared with the owning controller; phase
         #: marks in :attr:`report` are derived from phase-span closes.
         self.obs = controller.obs
-        operation_attrs = dict(controller.trace_attrs)
+        operation_attrs = dict(shard.labels)
         if trace_attrs:
             # Chain-scoped attributes (chain_id / hop) ride every hop
             # move's trace so the chain auditor can stitch the per-hop
@@ -740,7 +741,7 @@ class MoveOperation(Operation):
                     chunks = yield getter(
                         self.flt,
                         stream_frame=lambda frame, _h=handle_chunk_frame: (
-                            self.controller.enqueue_chunks(_h, frame)
+                            self.shard.enqueue_chunks(_h, frame)
                         ),
                         lock_per_chunk=lock_per_chunk,
                         lock_silent=silent_lock,
@@ -748,7 +749,7 @@ class MoveOperation(Operation):
                     )
                     if deleter is not None and chunks:
                         yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield self.controller.inbox_drained()
+                    yield self.shard.inbox.drained()
                     yield pipeline.drained()
                     self._checkpoint()
                 elif self.parallel:
@@ -768,7 +769,7 @@ class MoveOperation(Operation):
                     # serialized inbox before its put is issued (§8.3).
                     chunks = yield getter(
                         self.flt,
-                        stream=lambda c: self.controller.enqueue_chunk(
+                        stream=lambda c: self.shard.enqueue_chunk(
                             handle_chunk, c
                         ),
                         lock_per_chunk=lock_per_chunk,
@@ -777,7 +778,7 @@ class MoveOperation(Operation):
                     )
                     if deleter is not None and chunks:
                         yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield self.controller.inbox_drained()
+                    yield self.shard.inbox.drained()
                     if put_events:
                         yield AllOf(put_events)
                     self._checkpoint()

@@ -97,8 +97,8 @@ class Operation:
 class DeferredOperation(Operation):
     """An admitted-but-waiting operation with the full handle surface.
 
-    Created by the controller's admission table when a new operation's
-    filter overlaps in-flight flow space. The deferred filter is itself
+    Created by a shard's admission table when a new operation's filter
+    overlaps in-flight flow space. The deferred filter is itself
     *reserved* in the admission table at submission time, so any later
     operation overlapping it queues behind this one — deferral is FIFO
     per overlapping flow space, and a stream of newcomers can no longer
@@ -113,37 +113,38 @@ class DeferredOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         kind: str,
         flt: Filter,
         conflicts: List[Any],
-        start: Callable[[], Operation],
+        start: Callable[[Any], Operation],
         guarantee: Any = None,
     ) -> None:
-        self.controller = controller
+        self.shard = shard
+        self.sim = shard.sim
         self.deferred_kind = kind
         self.flt = flt
         self._start = start
         self._guarantee = guarantee
         self.operation: Optional[Operation] = None
         self._abort_requested = None
-        self.done = controller.sim.event("deferred-%s-done" % kind)
+        self.done = self.sim.event("deferred-%s-done" % kind)
         # FIFO: reserve our filter NOW. The reservation is released when
         # self.done triggers — after the launched operation completes
         # (its done mirrors into ours) or on abort-while-deferred.
-        self._admission_handle = controller._reserve(flt, self.done)
+        self._admission_handle = shard.reserve(flt, self.done)
         self._await(conflicts)
 
     def _await(self, conflicts: List[Any]) -> None:
         if not conflicts:
-            self.controller.sim.schedule(0.0, self._launch)
+            self.sim.schedule(0.0, self._launch)
             return
         remaining = {"count": len(conflicts)}
 
         def on_conflict_done(_evt) -> None:
             remaining["count"] -= 1
             if remaining["count"] == 0:
-                self.controller.sim.schedule(0.0, self._launch)
+                self.sim.schedule(0.0, self._launch)
 
         for done in conflicts:
             done.add_callback(on_conflict_done)
@@ -155,7 +156,7 @@ class DeferredOperation(Operation):
         # are queued behind us (waiting on our done), and waiting on
         # them back would deadlock; our own reservation is newer than
         # nothing, so `before` also excludes it.
-        conflicts = self.controller._conflicting(
+        conflicts = self.shard.conflicting(
             self.flt, before=self._admission_handle
         )
         if conflicts:
@@ -166,12 +167,12 @@ class DeferredOperation(Operation):
     def _begin(self) -> None:
         """Flow space is clear: construct and run the real operation.
 
-        No _track_operation here: our standing reservation already
-        covers the filter until self.done (mirroring the live
-        operation's done) triggers. Overridden by the cross-shard
-        handshake to interpose the ownership transfer.
+        No new reservation here: our standing one already covers the
+        filter until self.done (mirroring the live operation's done)
+        triggers. Overridden by the cross-shard handshake to interpose
+        the ownership transfer.
         """
-        operation = self._start()
+        operation = self._start(self.shard)
         self.operation = operation
         if self._abort_requested is not None:
             operation.abort(self._abort_requested)
@@ -190,8 +191,8 @@ class DeferredOperation(Operation):
                 kind=self.deferred_kind,
                 guarantee=self._guarantee,
                 filter_repr=repr(self.flt),
-                started_at=self.controller.sim.now,
-                finished_at=self.controller.sim.now,
+                started_at=self.sim.now,
+                finished_at=self.sim.now,
                 aborted="aborted while deferred: %s" % reason,
             )
             self.report_override = report

@@ -53,7 +53,7 @@ class ShareOperation(Operation):
 
     def __init__(
         self,
-        controller,
+        shard,
         instances: List[Any],
         flt: Filter,
         scopes: Tuple[Scope, ...],
@@ -66,7 +66,7 @@ class ShareOperation(Operation):
             raise ValueError("consistency must be 'strong' or 'strict'")
         if group_by not in ("flow", "host", "all"):
             raise ValueError("group_by must be 'flow', 'host', or 'all'")
-        self.controller = controller
+        self.controller = controller = shard.controller
         self.sim = controller.sim
         self.instances = instances
         self.flt = flt
@@ -104,7 +104,7 @@ class ShareOperation(Operation):
             group_by=group_by,
             filter=repr(flt),
             instances=",".join(i.name for i in instances),
-            **controller.trace_attrs,
+            **shard.labels,
         )
         # Causally bound stubs (pass-throughs while tracing is off):
         # every RPC and switch command below inherits the session's

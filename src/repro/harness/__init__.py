@@ -5,7 +5,6 @@ from repro.harness.scenarios import (
     LOCAL_NET_FILTER,
     MoveExperimentResult,
     build_multi_instance_deployment,
-    coerce_guarantee,
     run_move_experiment,
 )
 from repro.harness.properties import (
@@ -21,7 +20,6 @@ __all__ = [
     "LOCAL_NET_FILTER",
     "MoveExperimentResult",
     "build_multi_instance_deployment",
-    "coerce_guarantee",
     "run_move_experiment",
     "check_chain_loss_free",
     "check_loss_free",

@@ -125,13 +125,13 @@ class Deployment:
             obs=self.obs,
             record_ground_truth=record_ground_truth,
         )
-        #: ``shards > 1`` swaps the single controller for a
-        #: :class:`~repro.controller.sharding.ShardedControlPlane` of
-        #: that many replicas (same northbound surface). ``shards=1``
-        #: keeps the classic controller, byte-identical to before the
-        #: plane existed.
+        #: ``shards > 1`` splits the controller's inbound message handling
+        #: and admission across that many shards (same northbound
+        #: surface); ``shards=1`` is the classic single controller.
         self.shards = shards
-        controller_kwargs = dict(
+        self.controller = OpenNFController(
+            self.sim,
+            switch=self.switch,
             msg_proc_ms=msg_proc_ms,
             nf_channel_latency_ms=nf_channel_latency_ms,
             sw_channel_latency_ms=sw_channel_latency_ms,
@@ -141,21 +141,9 @@ class Deployment:
             retry=retry,
             batching=self.batching,
             offload=self.offload,
+            shards=shards,
+            handoff_latency_ms=handoff_latency_ms,
         )
-        if shards > 1:
-            from repro.controller.sharding import ShardedControlPlane
-
-            self.controller = ShardedControlPlane(
-                self.sim,
-                switch=self.switch,
-                shards=shards,
-                handoff_latency_ms=handoff_latency_ms,
-                **controller_kwargs,
-            )
-        else:
-            self.controller = OpenNFController(
-                self.sim, switch=self.switch, **controller_kwargs
-            )
         self.nf_link_latency_ms = nf_link_latency_ms
         self.nfs: Dict[str, NetworkFunction] = {}
 

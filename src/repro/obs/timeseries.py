@@ -308,19 +308,17 @@ def snapshot_top(deployment) -> Dict[str, Any]:
     to the ``nfs`` entries of the frames it emits.
     """
     sim = deployment.sim
-    controller = deployment.controller
-    replicas = getattr(controller, "replicas", None) or [controller]
     obs = deployment.obs
 
     shards = {}
     ops_in_flight = 0
-    for replica in replicas:
-        ops_in_flight += len(replica._admission)
-        shards[replica.shard_id if replica.shard_id is not None else 0] = {
-            "inbox_depth": len(replica.inbox._queue),
-            "handled": replica.inbox.messages_handled,
-            "max_backlog": replica.inbox.max_backlog,
-            "events": replica.events_received,
+    for shard in deployment.controller.replicas:
+        ops_in_flight += len(shard.admission)
+        shards[shard.shard_id] = {
+            "inbox_depth": len(shard.inbox._queue),
+            "handled": shard.inbox.messages_handled,
+            "max_backlog": shard.inbox.max_backlog,
+            "events": shard.events_received,
         }
 
     nfs = {}

@@ -9,8 +9,6 @@ deliberately-dirty ones), rollback on abort, scale-out, the sharded
 facade, and the conformance-kit chain cells at shards 1 and 2.
 """
 
-import warnings
-
 import pytest
 
 from repro.conformance import (
@@ -25,10 +23,7 @@ from repro.harness import (
     Deployment,
     LOCAL_NET_FILTER,
     check_chain_loss_free,
-    coerce_guarantee,
-    run_move_experiment,
 )
-from repro.controller.move import Guarantee
 from repro.traffic.replay import TraceReplayer
 from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 
@@ -182,7 +177,7 @@ class TestMoveChain:
         assert [hop.active for hop in chain.hops] == ["i1", "n1", "p1"]
         rollbacks = [n for n in report.notes if n.startswith("rolled back")]
         assert rollbacks and len(rollbacks) == len(set(rollbacks))
-        assert dep.controller._admission == {}
+        assert dep.controller.replicas[0].admission == {}
 
     def test_rejects_destination_outside_hop(self):
         dep, chain, _ = build_chain_deployment()
@@ -249,22 +244,6 @@ class TestBlessedApi:
                      "Guarantee", "Operation", "Filter", "FaultPlan"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
-
-    def test_string_guarantee_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="plain string guarantee"):
-            assert coerce_guarantee("loss-free") is Guarantee.LOSS_FREE
-
-    def test_enum_guarantee_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert (coerce_guarantee(Guarantee.LOSS_FREE)
-                    is Guarantee.LOSS_FREE)
-
-    def test_experiment_harness_routes_through_coercion(self):
-        with pytest.warns(DeprecationWarning, match="plain string guarantee"):
-            result = run_move_experiment(guarantee="loss-free", n_flows=4,
-                                         data_packets=2)
-        assert result.loss_free, result.loss_free_detail
 
 
 class TestShardedFacade:

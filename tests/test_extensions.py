@@ -100,11 +100,11 @@ class TestPeerToPeerTransfer:
                 peer_to_peer=True,
             ),
         )
-        relayed_handled = relayed.deployment.controller.inbox.items_handled
-        p2p_handled = p2p.deployment.controller.inbox.items_handled
+        relayed_inbox = relayed.deployment.controller.replicas[0].inbox
+        p2p_inbox = p2p.deployment.controller.replicas[0].inbox
         # The relayed move pushes every chunk through the inbox; P2P only
         # the events.
-        assert p2p_handled < relayed_handled
+        assert p2p_inbox.items_handled < relayed_inbox.items_handled
 
     def test_p2p_with_early_release(self):
         result = run_move_experiment(

@@ -35,8 +35,10 @@ class TestJournal:
         done = journal.entries_of("op-done")[0]
         assert "move[loss-free]" in done.data["summary"]
 
-    def test_records_nf_events_with_uids(self):
-        dep, (a, b) = build_multi_instance_deployment(2)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_records_nf_events_with_uids(self, shards):
+        dep, (a, b) = build_multi_instance_deployment(
+            2, deployment_kwargs={"shards": shards})
         journal = Journal.attach(dep.controller)
         feed(dep)
         dep.controller.move("inst1", "inst2", LOCAL_NET_FILTER,
@@ -47,6 +49,21 @@ class TestJournal:
         events = journal.entries_of("nf-event")
         assert events
         assert all("uid" in entry.data for entry in events)
+        # Every event any shard dispatched is in the journal.
+        assert len(events) == dep.controller.events_received
+
+    def test_records_packet_ins_from_every_shard(self):
+        dep, _ = build_multi_instance_deployment(
+            2, deployment_kwargs={"shards": 2})
+        journal = Journal.attach(dep.controller)
+        for index in range(8):
+            flow = FiveTuple("10.0.2.1", 31000 + index, "203.0.113.5", 80)
+            dep.controller.handle_packet_in(make_packet(flow))
+        dep.sim.run()
+        per_shard = [shard.packet_ins_received
+                     for shard in dep.controller.replicas]
+        assert all(per_shard), per_shard  # both shards dispatched some
+        assert len(journal.entries_of("packet-in")) == 8
 
     def test_render_and_queries(self):
         dep, _ = build_multi_instance_deployment(2)

@@ -1,19 +1,19 @@
-"""Tests for the sharded control plane.
+"""Tests for the sharded controller.
 
 Covers the shard map (determinism, orientation normalization, prefix
-bucketing, balance), the single-shard == classic-controller timeline
-guarantee, the parallelism win (disjoint operations no longer serialize
-through one inbox), the cross-shard ownership handshake (including
-abort-mid-handoff), and the shared registration view.
+bucketing, balance), the parallelism win (disjoint operations no longer
+serialize through one inbox), the cross-shard ownership handshake
+(including abort-mid-handoff), and the registration view every shard
+shares. The single-shard timeline is pinned by
+``tests/test_timeline_golden.py``.
 """
-
-import dataclasses
 
 from repro.controller.controller import OpenNFController
 from repro.controller.sharding import ShardMap, ShardedControlPlane
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import Deployment
-from repro.net.packet import reset_uid_counter
+from repro.net.packet import Packet, reset_uid_counter
+from repro.nf.events import EventAction, PacketEvent
 from repro.nfs.dummy import DummyNF
 from repro.conformance import run_schedule
 from repro.conformance.schedule import BurstSpec, OpSpec, ScheduleSpec
@@ -70,14 +70,10 @@ class TestShardMap:
             ShardMap(0)
 
 
-def _run_move(controller_kind, n_flows=60):
+def _run_move(n_flows=60):
     """One preloaded DummyNF move; returns (report, deployment)."""
     reset_uid_counter()
     dep = Deployment()
-    if controller_kind == "plane":
-        dep.controller = ShardedControlPlane(
-            dep.sim, switch=dep.switch, shards=1, obs=dep.obs
-        )
     src = DummyNF(dep.sim, "inst1")
     dst = DummyNF(dep.sim, "inst2")
     dep.add_nf(src)
@@ -94,13 +90,8 @@ class TestSingleShardIdentical:
     def test_deployment_shards_1_is_the_classic_controller(self):
         dep = Deployment(shards=1)
         assert isinstance(dep.controller, OpenNFController)
-        assert dep.controller.plane is None
-
-    def test_one_replica_plane_timeline_matches_classic(self):
-        classic, _ = _run_move("classic")
-        plane, dep = _run_move("plane")
-        assert dataclasses.asdict(plane) == dataclasses.asdict(classic)
-        assert dep.controller.cross_shard_operations == 0
+        assert ShardedControlPlane is OpenNFController
+        assert len(dep.controller.replicas) == 1
 
 
 class TestParallelism:
@@ -131,7 +122,7 @@ class TestParallelism:
         """
         classic = self._two_moves(shards=1)
         sharded = self._two_moves(shards=2)
-        solo_report, _ = _run_move("classic", n_flows=120)
+        solo_report, _ = _run_move(n_flows=120)
         solo = solo_report.duration_ms
         assert max(sharded) < max(classic) * 0.75
         assert max(sharded) < solo * 1.2
@@ -236,9 +227,19 @@ class TestCrossShard:
         assert "aborted while deferred" in op2.report.aborted
         assert dep.controller.handoffs_completed == 0
         assert dep.controller._ownership == []
-        # Every replica's admission table drained.
-        for replica in dep.controller.replicas:
-            assert replica._admission == {}
+        # Every shard's admission table drained.
+        for shard in dep.controller.replicas:
+            assert shard.admission == {}
+
+
+def _event_through_every_shard(dep, nf_name):
+    """Push one NF event into each shard's inbox and run the sim."""
+    packet = Packet(FiveTuple("172.16.0.9", 10000, "198.18.0.1", 80),
+                    tcp_flags=("ACK",))
+    event = PacketEvent(nf_name, packet, EventAction.PROCESS, dep.sim.now)
+    for shard in dep.controller.replicas:
+        shard.inbox.push(("event", event, None))
+    dep.run()
 
 
 class TestSharedView:
@@ -246,32 +247,44 @@ class TestSharedView:
         dep = Deployment(shards=4)
         for name in ("inst1", "inst2", "inst3"):
             dep.add_nf(DummyNF(dep.sim, name))
-        plane = dep.controller
-        homes = {plane.shard_map.shard_for_name(n)
+        controller = dep.controller
+        homes = {controller.shard_map.shard_for_name(n)
                  for n in ("inst1", "inst2", "inst3")}
         assert len(homes) > 1  # names spread across home shards
-        for replica in plane.replicas:
-            assert set(replica.clients) == {"inst1", "inst2", "inst3"}
-            assert replica.instance_at_port("inst2") == "inst2"
+        assert set(controller.clients) == {"inst1", "inst2", "inst3"}
+        assert controller.instance_at_port("inst2") == "inst2"
+        # Whichever shard dispatches an event, it finds the one
+        # registration and the one interest list.
+        seen = []
+        controller.add_event_interest(
+            "inst2", None,
+            lambda e: seen.append(controller.client(e.nf_name).name))
+        _event_through_every_shard(dep, "inst2")
+        assert seen == ["inst2"] * 4
 
     def test_duplicate_port_rejected_across_replicas(self):
         dep = Deployment(shards=4)
-        plane = dep.controller
-        plane.register_nf(DummyNF(dep.sim, "inst1"), port="shared-port")
-        # Pick a name homed on a different replica than inst1's.
+        controller = dep.controller
+        controller.register_nf(DummyNF(dep.sim, "inst1"), port="shared-port")
+        # Pick a name homed on a different shard than inst1's.
         other = next(
             "other%d" % i for i in range(32)
-            if plane.shard_map.shard_for_name("other%d" % i)
-            != plane.shard_map.shard_for_name("inst1")
+            if controller.shard_map.shard_for_name("other%d" % i)
+            != controller.shard_map.shard_for_name("inst1")
         )
         with pytest.raises(ValueError, match="already claimed"):
-            plane.register_nf(DummyNF(dep.sim, other), port="shared-port")
+            controller.register_nf(DummyNF(dep.sim, other),
+                                   port="shared-port")
 
     def test_interest_removal_is_visible_everywhere(self):
         dep = Deployment(shards=2)
         dep.add_nf(DummyNF(dep.sim, "inst1"))
-        plane = dep.controller
-        handle = plane.add_event_interest("inst1", None, lambda e: None)
-        assert all(r._event_interests for r in plane.replicas)
-        plane.replicas[1].remove_interest(handle)
-        assert all(not r._event_interests for r in plane.replicas)
+        controller = dep.controller
+        claimed, unclaimed = [], []
+        controller.default_event_handler = unclaimed.append
+        handle = controller.add_event_interest("inst1", None, claimed.append)
+        _event_through_every_shard(dep, "inst1")
+        assert (len(claimed), len(unclaimed)) == (2, 0)
+        controller.remove_interest(handle)
+        _event_through_every_shard(dep, "inst1")
+        assert (len(claimed), len(unclaimed)) == (2, 2)
