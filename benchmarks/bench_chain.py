@@ -17,7 +17,8 @@ asserts the chain op is perfectly clean while the naive sequence is
 demonstrably dirty.
 
 Writes ``benchmarks/results/BENCH_chain.json`` (gated by
-``check_regression.py``: ``*_ms`` keys must not grow > 25%) and a
+``check_regression.py``: the simulated ``*_ms`` keys and counts must
+equal the baseline) and a
 human-readable table. Runs standalone (``python
 benchmarks/bench_chain.py``) or under pytest.
 """

@@ -24,7 +24,8 @@ ones.
 
 Writes ``benchmarks/results/BENCH_obs_overhead.json`` (gated by
 ``check_regression.py``: ``overhead_pct`` must stay <= 5.0 absolute,
-``*messages*`` counts must not grow) plus a human-readable table. Runs
+the simulated results and counts must equal the baseline, the CPU and
+wall seconds are informational) plus a human-readable table. Runs
 standalone (``python benchmarks/bench_obs_overhead.py``) or under
 pytest.
 """

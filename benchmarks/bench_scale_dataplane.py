@@ -5,8 +5,8 @@ flow-table lookup (via ``Switch.inject``), event-rule matching
 (``BaseNF._match_rule``), and per-scope state-key resolution
 (``FlowKeyedStore.keys_matching``) — measuring real wall-clock
 packets/sec and per-operation latency for the indexed fast path against
-the linear reference oracle (the same structures queried with
-``indexed=False``). The oracle runs fewer operations at the large sizes
+the linear reference oracles of ``tests/oracles`` (the same structures
+answered by full scans). The oracle runs fewer operations at the large sizes
 (per-op latency extrapolates to pps) so the harness stays fast.
 
 Unlike the §8 benchmarks, which report *simulated* milliseconds, this
@@ -25,7 +25,9 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.dirname(HERE))
 
 from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.flowspace.index import FlowKeyedStore
@@ -35,6 +37,11 @@ from repro.nfs.dummy import DummyNF
 from repro.sim import Simulator
 
 from common import RESULTS_DIR, format_table, publish
+from tests.oracles import (
+    LinearFlowTable,
+    linear_keys_matching,
+    linear_match_rule,
+)
 
 #: Per-flow rule counts to sweep (flows == rules: one rule per flow,
 #: the §5.1.3 fine-grained regime).
@@ -81,7 +88,8 @@ def bench_forwarding(n_rules, indexed):
     flows = make_flows(n_rules)
     sim = Simulator()
     switch = Switch(sim, record_ground_truth=False)
-    switch.table.indexed = indexed
+    if not indexed:
+        switch.table = LinearFlowTable()
     switch.attach("nf", lambda p: None, Link(sim))
     for ft in flows:
         switch.table.install(
@@ -103,7 +111,6 @@ def bench_event_rules(n_rules, indexed):
     """Wall-clock seconds per ``_match_rule`` with n per-flow rules."""
     flows = make_flows(n_rules)
     nf = DummyNF(Simulator(), "dut")
-    nf.use_indexed_rules = indexed
     for ft in flows:
         nf.sb_enable_events(
             Filter(ft.headers(), symmetric=True), EventAction.PROCESS
@@ -113,9 +120,15 @@ def bench_event_rules(n_rules, indexed):
     count = (INDEXED_PACKETS if indexed else LINEAR_PACKETS)[n_rules]
     packets = flow_packets(flows, count)
 
+    if indexed:
+        match = nf._match_rule
+    else:
+        def match(packet):
+            return linear_match_rule(nf, packet)
+
     def run():
         for packet in packets:
-            nf._match_rule(packet)
+            match(packet)
 
     return _timed(run) / count
 
@@ -138,12 +151,16 @@ def bench_state_keys(n_flows, indexed):
         for i in range(count)
     ]
 
+    if indexed:
+        keys_matching = store.keys_matching
+    else:
+        def keys_matching(flt, relevant):
+            return linear_keys_matching(store, flt, relevant)
+
     def run():
         for flt in filters:
-            matched = store.keys_matching(
-                flt, ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"),
-                indexed=indexed,
-            )
+            matched = keys_matching(
+                flt, ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"))
             assert len(matched) == 1
 
     return _timed(run) / count

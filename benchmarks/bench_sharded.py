@@ -9,8 +9,8 @@ spread across flow space). Both the aggregate operation throughput and
 the event throughput must scale at least 3x from 1 shard to 4.
 
 Writes ``benchmarks/results/BENCH_sharded.json`` (gated by
-``check_regression.py``: ``*_per_s`` / ``*_speedup_x`` keys must not
-fall below baseline) and a human-readable table. Runs standalone
+``check_regression.py``: every key is a deterministic simulated result
+and must equal the baseline) and a human-readable table. Runs standalone
 (``python benchmarks/bench_sharded.py``) or under pytest.
 """
 

@@ -71,6 +71,7 @@ class SplitMergeMigrate:
             "splitmerge-migrate",
             guarantee="none",
             filter=repr(flt),
+            flowspace=flt,
             src=self.src.name,
             dst=self.dst.name,
         )

@@ -298,6 +298,7 @@ class ChainOperation(Operation):
             "chain",
             guarantee=guarantee.value,
             filter=repr(flt),
+            flowspace=flt,
             chain=chain.name,
             mode=mode,
             hops=self._hops_attr(),

@@ -634,16 +634,16 @@ class OpenNFController:
         """The shard whose inbox serializes a message about ``packet``."""
         if self.n_shards == 1:
             return self.replicas[0]
-        return self.replicas[self._route_headers(packet.headers())]
+        return self.replicas[self._route(packet)]
 
-    def _route_headers(self, headers) -> int:
+    def _route(self, packet: Packet) -> int:
         for flt, shard in self._claims:  # oldest claim wins
-            if flt.matches_headers(headers):
+            if flt.matches_packet(packet):
                 return shard
         for flt, shard in reversed(self._ownership):  # newest handoff wins
-            if flt.matches_headers(headers):
+            if flt.matches_packet(packet):
                 return shard
-        return self.shard_map.shard_for_headers(headers)
+        return self.shard_map.shard_for_key(packet.key)
 
     def _owner_shard(self, flt: Filter) -> int:
         """Which shard owns (most of) ``flt``'s flow space right now."""

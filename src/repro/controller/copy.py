@@ -66,6 +66,7 @@ class CopyOperation(Operation):
             self.report,
             "copy",
             filter=repr(flt),
+            flowspace=flt,
             src=src.name,
             dst=dst.name,
             scopes=",".join(s.value for s in scopes),

@@ -181,6 +181,7 @@ class MoveOperation(Operation):
             "move",
             guarantee=guarantee.value,
             filter=repr(flt),
+            flowspace=flt,
             src=src.name,
             dst=dst.name,
             scopes=",".join(s.value for s in scopes),

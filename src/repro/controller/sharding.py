@@ -61,8 +61,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
 from repro.flowspace.ip import parse_prefix
+from repro.flowspace.fivetuple import FlowKey
 from repro.controller.controller import OpenNFController
 from repro.controller.operation import DeferredOperation, Operation
 
@@ -102,18 +103,14 @@ class ShardMap:
         channel and per-NF event sequencing state."""
         return _fold(*name.encode("utf-8")) % self.n_shards
 
-    def shard_for_key(self, key: Tuple) -> int:
-        """Shard for an exact-match key from :meth:`Filter.exact_key`.
+    def shard_for_key(self, key: FlowKey) -> int:
+        """Shard for a flow direction's :class:`FlowKey`.
 
-        The orientation tag is dropped and endpoints direction-normalized
-        first, so an oriented filter, its reverse, and the symmetric
-        filter for the same connection all land on one shard.
+        The endpoints are direction-normalized first, so an oriented
+        filter, its reverse, and the symmetric filter for the same
+        connection all land on one shard.
         """
-        _tag, proto, left, right = key
-        if right < left:
-            left, right = right, left
-        return _fold(proto, left[0], left[1], right[0], right[1]) \
-            % self.n_shards
+        return _fold(key.proto, *key.canonical_endpoints()) % self.n_shards
 
     def shard_for_filter(self, flt: Filter) -> int:
         """Owning shard for a filter's flow space.
@@ -124,7 +121,7 @@ class ShardMap:
         round-robin across shards instead of hashing to one. Filters
         with no IP constraint (true wildcards) go to shard 0.
         """
-        key = flt.exact_key()
+        key = flt.flow_key()
         if key is not None:
             return self.shard_for_key(key)
         for field in ("nw_src", "nw_dst"):
@@ -142,12 +139,12 @@ class ShardMap:
         return 0
 
     def shard_for_headers(self, headers) -> int:
-        """Shard for one packet's headers (symmetric key, so both
-        directions of a connection route identically)."""
-        _oriented, symmetric = packet_match_keys(headers)
-        if symmetric is None:
+        """Shard for one packet's header dict (both directions of a
+        connection route identically)."""
+        key = FlowKey.from_headers(headers)
+        if key is None:
             return 0
-        return self.shard_for_key(symmetric)
+        return self.shard_for_key(key)
 
 
 class CrossShardOperation(DeferredOperation):

@@ -103,6 +103,7 @@ class ShareOperation(Operation):
             consistency=consistency,
             group_by=group_by,
             filter=repr(flt),
+            flowspace=flt,
             instances=",".join(i.name for i in instances),
             **shard.labels,
         )

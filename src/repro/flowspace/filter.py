@@ -17,58 +17,52 @@ installs, as one unit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.flowspace.ip import (
     ip_in_prefix,
-    ip_to_int,
     parse_prefix,
     prefix_covers,
     prefixes_overlap,
 )
+from repro.flowspace.fivetuple import FlowKey
 
 _IP_FIELDS = ("nw_src", "nw_dst")
 _SWAP = {"nw_src": "nw_dst", "nw_dst": "nw_src", "tp_src": "tp_dst", "tp_dst": "tp_src"}
 
 #: Exactly these fields must be constrained for a filter to be exact-match.
-_EXACT_FIELDS = frozenset(("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"))
+EXACT_FIELDS = frozenset(("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst"))
 
 _FULL_MASK = 0xFFFFFFFF
 
-#: Sentinel distinct from None, which is a valid (cached) exact_key result.
-_UNSET = object()
+_UNSET = object()  # "not computed yet"; None is a valid result
+
+#: Plan slot per field (see Filter._compile).
+_PLAN_SLOTS = {"nw_src": 0, "nw_dst": 2, "nw_proto": 4, "tp_src": 5,
+               "tp_dst": 6, "tcp_flags": 7}
+_ANY = object()
+_NO_FLAGS: FrozenSet[str] = frozenset()
 
 
 def packet_match_keys(headers: Mapping[str, Any]):
-    """The two exact-match keys a packet's headers can hit.
+    """The ``(oriented, symmetric)`` buckets a header dict can hit, or
+    ``(None, None)`` for a partial 5-tuple. Packets carry their key."""
+    key = FlowKey.from_headers(headers)
+    return (None, None) if key is None else (key.oriented, key.symmetric)
 
-    Returns ``(oriented_key, symmetric_key)``: the key an oriented
-    exact-match filter for this packet would carry, and the
-    direction-normalized key a symmetric one would. Either hash index
-    bucket holds *only* filters that match this packet. Returns
-    ``(None, None)`` when the headers are not a fully-specified 5-tuple
-    (such a packet cannot match any exact filter).
-    """
-    proto = headers.get("nw_proto")
-    tp_src = headers.get("tp_src")
-    tp_dst = headers.get("tp_dst")
-    if (
-        not isinstance(proto, int)
-        or not isinstance(tp_src, int)
-        or not isinstance(tp_dst, int)
-    ):
-        return (None, None)
-    try:
-        src = ip_to_int(headers["nw_src"])
-        dst = ip_to_int(headers["nw_dst"])
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return (None, None)
-    left = (src, tp_src)
-    right = (dst, tp_dst)
-    oriented = ("o", proto, left, right)
-    if right < left:
-        left, right = right, left
-    return (oriented, ("s", proto, left, right))
+
+def _plan_matches(plan, src, sport, dst, dport, proto, flags) -> bool:
+    """One orientation of a compiled plan."""
+    (src_net, src_mask, dst_net, dst_mask, want_proto, want_sport,
+     want_dport, want_flags) = plan
+    return (
+        (src_mask is None or src & src_mask == src_net)
+        and (dst_mask is None or dst & dst_mask == dst_net)
+        and (want_proto is _ANY or want_proto == proto)
+        and (want_sport is _ANY or want_sport == sport)
+        and (want_dport is _ANY or want_dport == dport)
+        and (want_flags is None or (bool(flags) and want_flags <= flags))
+    )
 
 
 def _flags_as_set(value: Any) -> FrozenSet[str]:
@@ -93,9 +87,13 @@ def _swap_headers(headers: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 class Filter:
-    """An immutable header predicate with wildcard semantics."""
+    """An immutable header predicate with wildcard semantics.
 
-    __slots__ = ("fields", "symmetric", "_hash", "_exact_key")
+    An exact filter has a :class:`FlowKey` that hash indexes bucket it
+    by; others match a packet's key through a compiled plan.
+    """
+
+    __slots__ = ("fields", "symmetric", "_hash", "_flow_key", "_plan")
 
     def __init__(
         self, fields: Optional[Mapping[str, Any]] = None, symmetric: bool = False
@@ -103,7 +101,8 @@ class Filter:
         self.fields: Dict[str, Any] = dict(fields or {})
         self.symmetric = symmetric
         self._hash: Optional[int] = None
-        self._exact_key: Any = _UNSET
+        self._flow_key: Any = _UNSET
+        self._plan: Any = _UNSET
 
     # -- construction helpers -------------------------------------------------
 
@@ -115,7 +114,9 @@ class Filter:
     @classmethod
     def for_flow(cls, five_tuple, symmetric: bool = True) -> "Filter":
         """An exact-match filter for one flow (both directions by default)."""
-        return cls(five_tuple.headers(), symmetric=symmetric)
+        flt = cls(five_tuple.headers(), symmetric=symmetric)
+        flt._flow_key = five_tuple.key
+        return flt
 
     def with_fields(self, **extra: Any) -> "Filter":
         """A copy of this filter with additional/overridden constraints."""
@@ -134,8 +135,52 @@ class Filter:
         return False
 
     def matches_packet(self, packet) -> bool:
-        """Whether a :class:`~repro.net.packet.Packet` satisfies the filter."""
-        return self.matches_headers(packet.headers())
+        """Whether a :class:`~repro.net.packet.Packet` satisfies the filter
+        (read from its key; the header dict is built only if needed)."""
+        plan = self._plan
+        if plan is _UNSET:
+            plan = self._compile()
+        if plan is True:
+            return True
+        if plan is None or packet.extras:
+            return self.matches_headers(packet.headers())
+        return self.matches_key(packet.key, packet.tcp_flags)
+
+    def matches_key(self, key: FlowKey,
+                    tcp_flags: FrozenSet[str] = _NO_FLAGS) -> bool:
+        """Whether a flow direction (with ``tcp_flags``) satisfies the
+        filter. A constraint on a field outside the 5-tuple and flags
+        never holds for a bare key."""
+        plan = self._plan
+        if plan is _UNSET:
+            plan = self._compile()
+        if plan is True or plan is None:
+            return plan is True
+        return _plan_matches(plan, key.src, key.sport, key.dst, key.dport,
+                             key.proto, tcp_flags) or (
+            self.symmetric and _plan_matches(
+                plan, key.dst, key.dport, key.src, key.sport, key.proto,
+                tcp_flags))
+
+    def _compile(self):
+        """Cache the filter as ``(src_net, src_mask, dst_net, dst_mask,
+        proto, tp_src, tp_dst, flags)`` over key integers; ``True`` when
+        unconstrained, ``None`` when a constraint has no integer form."""
+        plan: Any = [None, None, None, None, _ANY, _ANY, _ANY, None]
+        try:
+            for field, constraint in self.fields.items():
+                slot = _PLAN_SLOTS[field]
+                if slot < 4:
+                    plan[slot], plan[slot + 1] = parse_prefix(constraint)
+                elif slot == 7:
+                    plan[7] = _flags_as_set(constraint)
+                else:
+                    plan[slot] = constraint
+            plan = tuple(plan) if self.fields else True
+        except (AttributeError, KeyError, TypeError, ValueError):
+            plan = None
+        self._plan = plan
+        return plan
 
     def _matches_oriented(self, headers: Mapping[str, Any]) -> bool:
         for field, constraint in self.fields.items():
@@ -143,61 +188,38 @@ class Filter:
                 return False
         return True
 
-    # -- exact-match fast path ------------------------------------------------
+    # -- exact match ----------------------------------------------------------
 
-    def exact_key(self) -> Optional[Tuple]:
-        """Canonical hashable key for a fully-specified exact-match filter.
-
-        A filter is *exact* when it constrains precisely the transport
-        5-tuple — ``nw_src``/``nw_dst`` as single addresses (bare or
-        ``/32``), integer ``nw_proto``/``tp_src``/``tp_dst`` — with no
-        extra fields. For such filters the key is
-        ``(orientation_tag, proto, endpoint, endpoint)`` with IPs
-        normalized to integers; symmetric filters get their endpoints
-        direction-normalized (smaller ``(ip, port)`` first) so both
-        orientations of a flow produce the same key, while oriented
-        filters keep their direction and a distinct tag. Returns ``None``
-        for wildcard/partial/prefix filters, which must stay on the
-        linear match path. The key is cached (filters are immutable).
-
-        The defining property, relied on by every hash index built on
-        this: two exact filters match the same fully-specified packet
-        if and only if :func:`packet_match_keys` of that packet yields
-        their key.
-        """
-        key = self._exact_key
+    def flow_key(self) -> Optional[FlowKey]:
+        """The :class:`FlowKey` of an exact filter — exactly the 5-tuple
+        fields, host addresses, integer ports/proto — else ``None``."""
+        key = self._flow_key
         if key is _UNSET:
-            key = self._compute_exact_key()
-            self._exact_key = key
+            key = self._flow_key = self._parse_flow_key()
         return key
 
-    def _compute_exact_key(self) -> Optional[Tuple]:
+    def _parse_flow_key(self) -> Optional[FlowKey]:
         fields = self.fields
-        if len(fields) != 5 or frozenset(fields) != _EXACT_FIELDS:
-            return None
-        proto = fields["nw_proto"]
-        tp_src = fields["tp_src"]
-        tp_dst = fields["tp_dst"]
-        if (
-            not isinstance(proto, int)
-            or not isinstance(tp_src, int)
-            or not isinstance(tp_dst, int)
-        ):
+        if fields.keys() != EXACT_FIELDS:
             return None
         try:
-            src_net, src_mask = parse_prefix(fields["nw_src"])
-            dst_net, dst_mask = parse_prefix(fields["nw_dst"])
+            src, src_mask = parse_prefix(fields["nw_src"])
+            dst, dst_mask = parse_prefix(fields["nw_dst"])
+            numbers = (fields["tp_src"], fields["tp_dst"], fields["nw_proto"])
+            if (src_mask != _FULL_MASK or dst_mask != _FULL_MASK
+                    or not all(isinstance(n, int) for n in numbers)):
+                return None
+            return FlowKey(src, numbers[0], dst, numbers[1], numbers[2])
         except (AttributeError, TypeError, ValueError):
             return None
-        if src_mask != _FULL_MASK or dst_mask != _FULL_MASK:
+
+    def exact_key(self) -> Optional[int]:
+        """An exact filter's hash bucket: its key's ``symmetric`` or
+        ``oriented`` form. A packet matches it iff its key yields it."""
+        key = self.flow_key()
+        if key is None:
             return None
-        left = (src_net, tp_src)
-        right = (dst_net, tp_dst)
-        if not self.symmetric:
-            return ("o", proto, left, right)
-        if right < left:
-            left, right = right, left
-        return ("s", proto, left, right)
+        return key.symmetric if self.symmetric else key.oriented
 
     # -- state (flowid) matching ----------------------------------------------
 
@@ -303,7 +325,12 @@ class Filter:
                 self.symmetric)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Filter) and self._key() == other._key()
+        # Dict equality ignores field order: no need to sort like _key().
+        if self is other:
+            return True
+        return (isinstance(other, Filter)
+                and self.symmetric == other.symmetric
+                and self.fields == other.fields)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -313,7 +340,7 @@ class Filter:
     def __repr__(self) -> str:
         tag = "~" if self.symmetric else ""
         body = ", ".join("%s=%s" % kv for kv in sorted(self.fields.items()))
-        return "Filter%s{%s}" % (tag, body or "*")
+        return "%s%s{%s}" % (type(self).__name__, tag, body or "*")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly representation (used by the wire codec)."""
@@ -340,19 +367,23 @@ class FlowId(Filter):
 
     @classmethod
     def for_flow(cls, five_tuple, symmetric: bool = True) -> "FlowId":
-        """Flowid for one transport connection (bidirectional by default)."""
-        return cls(five_tuple.headers(), symmetric=symmetric)
+        """Flowid for one transport connection (bidirectional by default;
+        that one is interned on the tuple's FlowKey)."""
+        key = five_tuple.key
+        if not symmetric or cls is not FlowId:
+            return super().for_flow(five_tuple, symmetric)
+        if key.flowid is None:
+            key.flowid = super().for_flow(five_tuple)
+        return key.flowid
 
     @classmethod
-    def for_host(cls, ip: str) -> "FlowId":
-        """Flowid for host-granularity state (matches the IP in either role)."""
-        return cls({"nw_src": ip}, symmetric=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowId":
-        return cls(data.get("fields", {}), symmetric=bool(data.get("symmetric")))
-
-    def __repr__(self) -> str:
-        tag = "~" if self.symmetric else ""
-        body = ", ".join("%s=%s" % kv for kv in sorted(self.fields.items()))
-        return "FlowId%s{%s}" % (tag, body or "*")
+    def for_host(cls, ip: str, interned: Optional[Dict[str, "FlowId"]] = None
+                 ) -> "FlowId":
+        """Flowid for host-granularity state (matches the IP in either
+        role); one per host with ``interned``, a dict the caller owns."""
+        if interned is None:
+            return cls({"nw_src": ip}, symmetric=True)
+        flowid = interned.get(ip)
+        if flowid is None:
+            flowid = interned[ip] = cls({"nw_src": ip}, symmetric=True)
+        return flowid

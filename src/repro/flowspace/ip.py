@@ -1,8 +1,9 @@
 """Small IPv4 helpers: dotted-quad parsing and CIDR prefix matching.
 
-We keep addresses as plain strings in packets (readable in logs and
-traces) and convert to integers only at match time, with a module-level
-memo cache since the same addresses recur for every packet of a flow.
+Five-tuples keep addresses as plain strings (readable in logs and
+traces); their :class:`~repro.flowspace.fivetuple.FlowKey` holds the integers,
+converted once when the tuple is built. The module-level memo cache
+serves filters and tuples that name the same addresses again.
 """
 
 from __future__ import annotations

@@ -7,25 +7,21 @@ relies on when it layers a HIGH_PRIORITY entry over a LOW_PRIORITY one).
 Each entry keeps packet/byte counters — the paper's footnote 9 uses these
 to confirm the controller has seen the last packet sent to srcInst.
 
-The table is indexed for the regimes where rule counts grow with flow
-counts (§5.1.3's per-flow pipelined moves, §8.4's reroute-only pinning):
-fully-specified entries live in hash buckets keyed by their
-direction-normalized :meth:`Filter.exact_key`, so a packet lookup probes
-at most two buckets (its oriented and symmetric keys) plus the small
-sorted list of wildcard/prefix entries — O(1 + wildcards) instead of
-O(rules). Install and remove splice the sorted entry list incrementally;
-there is no full re-sort on flow-mods. Setting ``indexed = False`` flips
-every query onto the original linear scans (the reference oracle the
-differential tests pin the fast path against); both index structures are
-always maintained, so the flag can be toggled at any time.
+The table is a :class:`~repro.flowspace.index.FilterIndex`, so rule
+counts can grow with flow counts (§5.1.3's per-flow pipelined moves,
+§8.4's reroute-only pinning): a lookup probes the two hash buckets of
+the packet's FlowKey plus the sorted wildcard/prefix entries, and
+install/remove splice sorted lists instead of re-sorting. The
+linear-scan oracle the tests pin it against lives in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
+from repro.flowspace.index import FilterIndex
 from repro.net.packet import Packet
 
 LOW_PRIORITY = 10
@@ -38,30 +34,6 @@ _entry_ids = itertools.count(1)
 def _order(entry: "FlowEntry") -> Tuple[int, int]:
     """Sort key: priority desc, then newest (highest id) first among equals."""
     return (-entry.priority, -entry.entry_id)
-
-
-def _bisect(entries: List["FlowEntry"], key: Tuple[int, int]) -> int:
-    """Leftmost insertion point for ``key`` in a list sorted by ``_order``."""
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _order(entries[mid]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _insert_sorted(entries: List["FlowEntry"], entry: "FlowEntry") -> None:
-    entries.insert(_bisect(entries, _order(entry)), entry)
-
-
-def _discard_sorted(entries: List["FlowEntry"], entry: "FlowEntry") -> None:
-    """Remove ``entry`` from a list kept sorted by ``_order`` (unique keys)."""
-    index = _bisect(entries, _order(entry))
-    while entries[index] is not entry:  # defensive; keys are unique
-        index += 1
-    del entries[index]
 
 
 class FlowEntry:
@@ -98,22 +70,15 @@ class FlowEntry:
         )
 
 
-class FlowTable:
-    """An ordered rule set with highest-priority-wins lookup."""
+class FlowTable(FilterIndex):
+    """An ordered rule set with highest-priority-wins lookup.
 
-    def __init__(self, indexed: bool = True) -> None:
-        #: All entries, sorted by (priority desc, entry_id desc) — the
-        #: order the linear scan resolves matches in.
-        self._entries: List[FlowEntry] = []
-        #: exact_key -> bucket of exact-match entries, each bucket sorted
-        #: like ``_entries`` so ``bucket[0]`` is its best candidate.
-        self._exact: Dict[Tuple, List[FlowEntry]] = {}
-        #: Entries with no exact key (wildcards, prefixes, extra fields),
-        #: sorted like ``_entries``; the lookup fallback scans only these.
-        self._wildcards: List[FlowEntry] = []
-        #: Query strategy switch: True = hash fast path, False = linear
-        #: reference oracle. Semantics are identical either way.
-        self.indexed = indexed
+    Entries are ordered by (priority desc, entry_id desc) — the order a
+    linear scan resolves matches in — and iterate in that order.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(_order)
 
     def install(
         self, flt: Filter, priority: int, actions: Sequence[str], now: float
@@ -121,28 +86,16 @@ class FlowTable:
         """Add a rule; replaces an existing rule with identical filter+priority."""
         self.remove(flt, priority)
         entry = FlowEntry(flt, priority, actions, now)
-        _insert_sorted(self._entries, entry)
-        key = flt.exact_key()
-        if key is None:
-            _insert_sorted(self._wildcards, entry)
-        else:
-            _insert_sorted(self._exact.setdefault(key, []), entry)
+        self.add(entry)
         return entry
 
     def _matching(
         self, flt: Filter, priority: Optional[int]
     ) -> List[FlowEntry]:
         """Entries with exactly this filter (and priority), in table order."""
-        if self.indexed:
-            key = flt.exact_key()
-            pool: Sequence[FlowEntry] = (
-                self._wildcards if key is None else self._exact.get(key, ())
-            )
-        else:
-            pool = self._entries
         return [
             e
-            for e in pool
+            for e in self.candidates(flt)
             if e.filter == flt and (priority is None or e.priority == priority)
         ]
 
@@ -153,44 +106,13 @@ class FlowTable:
         matches.
         """
         doomed = self._matching(flt, priority)
-        if not doomed:
-            return 0
         for entry in doomed:
-            _discard_sorted(self._entries, entry)
-            key = entry.filter.exact_key()
-            if key is None:
-                _discard_sorted(self._wildcards, entry)
-            else:
-                bucket = self._exact[key]
-                _discard_sorted(bucket, entry)
-                if not bucket:
-                    del self._exact[key]
+            self.discard(entry)
         return len(doomed)
 
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """Highest-priority entry matching ``packet``, or None."""
-        if not self.indexed:
-            for entry in self._entries:
-                if entry.filter.matches_packet(packet):
-                    return entry
-            return None
-        headers = packet.headers()
-        best: Optional[FlowEntry] = None
-        for key in packet_match_keys(headers):
-            if key is None:
-                continue
-            bucket = self._exact.get(key)
-            if bucket:
-                head = bucket[0]
-                if best is None or _order(head) < _order(best):
-                    best = head
-        limit = None if best is None else _order(best)
-        for entry in self._wildcards:
-            if limit is not None and _order(entry) > limit:
-                break  # every remaining wildcard loses to the exact hit
-            if entry.filter.matches_headers(headers):
-                return entry
-        return best
+        return self.best(packet)
 
     def find(self, flt: Filter, priority: Optional[int] = None) -> Optional[FlowEntry]:
         """The entry with this exact filter (and priority, if given)."""
@@ -206,29 +128,15 @@ class FlowTable:
         5-tuple can collide with — plus the wildcard list — are checked;
         a coarser ``flt`` falls back to the full scan.
         """
-        key = None if not self.indexed else flt.exact_key()
+        key = flt.flow_key()
         if key is None:
-            return [e for e in self._entries if e.filter.intersects(flt)]
+            return [e for e in self if e.filter.intersects(flt)]
         # ``intersects`` compares the *stored* field values, ignoring the
         # symmetric flag — so candidate exact entries are those sharing
         # flt's oriented tuple (oriented entries) or its canonical form
         # (symmetric entries, which the intersects check then re-verifies).
-        if flt.symmetric:
-            oriented = Filter(flt.fields, symmetric=False).exact_key()
-        else:
-            oriented = key
-        _tag, proto, left, right = oriented
-        if right < left:
-            left, right = right, left
-        candidates = list(self._exact.get(oriented, ()))
-        candidates.extend(self._exact.get(("s", proto, left, right), ()))
-        candidates.extend(self._wildcards)
+        candidates = [*self.exact.get(key.oriented, ()),
+                      *self.exact.get(key.symmetric, ()), *self.wild]
         matches = [e for e in candidates if e.filter.intersects(flt)]
         matches.sort(key=_order)
         return matches
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

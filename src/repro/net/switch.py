@@ -148,7 +148,7 @@ class Switch:
         # Pre-match XFSM stage: an installed machine may consume the
         # packet (buffer / queue / drop) before the flow table sees it.
         for machine in self._xfsm_machines:
-            if machine.matches(packet) and machine.on_packet(packet):
+            if machine.filter.matches_packet(packet) and machine.on_packet(packet):
                 return
         entry = self.table.lookup(packet)
         if entry is None:

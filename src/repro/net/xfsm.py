@@ -17,8 +17,9 @@ lookup (an OpenState-style pre-match stage) and walks
     ``NORMAL → BUFFER → FLUSH_IN_ORDER → REDIRECT``
 
 * **BUFFER** — matching packets park in per-flow rings keyed by the
-  packet's direction-normalized 5-tuple key (the same key an exact
-  symmetric :class:`~repro.flowspace.filter.Filter` produces), stamped
+  ``symmetric`` integer of the packet's
+  :class:`~repro.flowspace.fivetuple.FlowKey` (the bucket an exact symmetric
+  :class:`~repro.flowspace.filter.Filter` produces), stamped
   with a machine-global sequence number so a full flush preserves
   cross-flow arrival order (§5.1.2's multi-flow moves need it).
 * **FLUSH_IN_ORDER** — a ``release(filter, port)`` message merges the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter, packet_match_keys
+from repro.flowspace.filter import Filter
 from repro.net.packet import Packet
 
 #: Machine states (strings, so traces and debugging stay readable).
@@ -87,11 +88,10 @@ class XFSMInstance:
         self.filter = flt
         self.spec = spec
         self.state = BUFFER
-        #: flow key -> [(seq, packet), ...]; packets without a full
-        #: 5-tuple ring under ``None`` and flush on full release only.
-        self._rings: Dict[Optional[Tuple], List[Tuple[int, Packet]]] = {}
+        #: ``key.symmetric`` -> [(seq, packet), ...] per flow.
+        self._rings: Dict[int, List[Tuple[int, Packet]]] = {}
         #: Early-released flow keys -> the port their traffic now takes.
-        self._released: Dict[Tuple, str] = {}
+        self._released: Dict[int, str] = {}
         self._seq = 0
         #: Packets this machine has sitting in the switch's packet-out
         #: queue; the FLUSH_IN_ORDER → REDIRECT transition waits for it
@@ -116,9 +116,6 @@ class XFSMInstance:
 
     # ------------------------------------------------------------- data path
 
-    def matches(self, packet: Packet) -> bool:
-        return self.filter.matches_packet(packet)
-
     def on_packet(self, packet: Packet) -> bool:
         """Run one packet through the machine.
 
@@ -134,48 +131,37 @@ class XFSMInstance:
             # arrival order survives the transition.
             self._emit(packet, self.release_port)
             return True
-        key = packet_match_keys(packet.headers())[1]
-        if key is not None and key in self._released:
+        key = packet.key.symmetric
+        if key in self._released:
             self._emit(packet, self._released[key])
             return True
         if (
             self.spec.ring_capacity is not None
-            and self._buffered_now() >= self.spec.ring_capacity
+            and self._buffered_count >= self.spec.ring_capacity
         ):
             self.packets_dropped += 1
-            obs = self.switch.obs
-            if obs.enabled:
-                obs.metrics.counter("sw.xfsm.dropped").inc(
-                    1, sw=self.switch.name
-                )
-                obs.tracer.record(
-                    "sw.drop",
-                    trace_id=self.spec.trace_id,
-                    sw=self.switch.name,
-                    uid=packet.uid,
-                    flow=packet.flow_key(),
-                )
+            self._trace("drop", "dropped", packet)
             return True
         self._seq += 1
         self._rings.setdefault(key, []).append((self._seq, packet))
         self.packets_buffered += 1
         self._buffered_count += 1
-        obs = self.switch.obs
-        if obs.enabled:
-            obs.metrics.counter("sw.xfsm.buffered").inc(1, sw=self.switch.name)
-            self._record_occupancy(obs)
-            obs.tracer.record(
-                "sw.buffer",
-                trace_id=self.spec.trace_id,
-                where="xfsm",
-                sw=self.switch.name,
-                uid=packet.uid,
-                flow=packet.flow_key(),
-            )
+        if self.switch.obs.enabled:
+            self._record_occupancy(self.switch.obs)
+        self._trace("buffer", "buffered", packet, where="xfsm")
         return True
 
-    def _buffered_now(self) -> int:
-        return self._buffered_count
+    def _trace(self, record: str, counter: str, packet: Packet,
+               **attrs) -> None:
+        """Count ``packet`` in ``sw.xfsm.<counter>`` and emit a
+        ``sw.<record>`` record tagged with the operation's trace id."""
+        obs = self.switch.obs
+        if not obs.enabled:
+            return
+        obs.metrics.counter("sw.xfsm." + counter).inc(1, sw=self.switch.name)
+        obs.tracer.record("sw." + record, trace_id=self.spec.trace_id,
+                          **attrs, sw=self.switch.name, uid=packet.uid,
+                          flow=packet.flow_key())
 
     def _record_occupancy(self, obs) -> None:
         if self._obs_cache_for is not obs:
@@ -215,7 +201,7 @@ class XFSMInstance:
         self._buffered_count = 0
         merged.sort(key=lambda item: item[0])
         for _seq, packet in merged:
-            self._record_release(packet, "flush")
+            self._trace("release", "released", packet, where="flush")
             self._emit(packet, port)
         obs = self.switch.obs
         if obs.enabled:
@@ -231,7 +217,7 @@ class XFSMInstance:
         ring = self._rings.pop(key, [])
         self._buffered_count -= len(ring)
         for _seq, packet in ring:
-            self._record_release(packet, "early")
+            self._trace("release", "released", packet, where="early")
             self._emit(packet, port)
         if ring:
             obs = self.switch.obs
@@ -270,18 +256,3 @@ class XFSMInstance:
             return True
         self._retire_callbacks.append(callback)
         return False
-
-    def _record_release(self, packet: Packet, where: str) -> None:
-        obs = self.switch.obs
-        if obs.enabled:
-            obs.metrics.counter("sw.xfsm.released").inc(
-                1, sw=self.switch.name
-            )
-            obs.tracer.record(
-                "sw.release",
-                trace_id=self.spec.trace_id,
-                where=where,
-                sw=self.switch.name,
-                uid=packet.uid,
-                flow=packet.flow_key(),
-            )

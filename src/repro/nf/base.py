@@ -25,13 +25,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter, FlowId, packet_match_keys
+from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.index import FilterIndex
 from repro.nf.costs import NFCostModel
 from repro.nf.events import EventAction, EventRule, PacketEvent
 from repro.nf.state import Scope, StateChunk
 from repro.net.packet import Packet
 from repro.obs import NULL_OBS
 from repro.sim.core import Event, Simulator
+
+
+def _newest_first(rule: EventRule) -> int:
+    return -rule.seq
 
 
 class NFCrash(Exception):
@@ -50,20 +55,9 @@ class NetworkFunction:
     #: Subclasses narrow this per scope via :meth:`relevant_fields`.
     DEFAULT_RELEVANT_FIELDS = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
 
-    #: Per-packet event-rule resolution strategy: True probes the
-    #: exact-key hash buckets, False runs the original reversed linear
-    #: scan (the differential-test oracle). Both structures are always
-    #: maintained, so this can be flipped at any time.
-    use_indexed_rules = True
-
-    #: Passed through to :meth:`FlowKeyedStore.keys_matching` by NFs that
-    #: keep their state in indexed stores; False forces the linear
-    #: reference scan.
-    use_indexed_state = True
-
     #: When False, the per-packet ground-truth logs (``processing_log``,
-    #: ``proc_durations``) are not recorded — scale benchmarks opt out so
-    #: long runs do not grow memory without bound.
+    #: ``proc_durations``, ``buffered_log``) are not recorded — scale
+    #: benchmarks opt out so long runs do not grow memory without bound.
     record_ground_truth = True
 
     def __init__(self, sim: Simulator, name: str, costs: NFCostModel) -> None:
@@ -93,15 +87,14 @@ class NetworkFunction:
         #: One-shot callbacks fired the next time the input queue goes
         #: idle (the offloaded move's drain barrier; empty otherwise).
         self._idle_listeners: List[Callable[[], None]] = []
-        # Event machinery. Rules live in an insertion-ordered seq -> rule
-        # map (O(1) removal); exact-match rules are additionally hash-
-        # indexed by their filter's canonical key, mirroring the flow
-        # table's fast path.
-        self._event_rules: Dict[int, EventRule] = {}
-        self._rules_exact: Dict[Any, List[EventRule]] = {}
-        self._rules_wild: List[EventRule] = []
+        # Event machinery: the rules in a filter index like the flow
+        # table's, newest first.
+        self._rules = FilterIndex(_newest_first)
         self._rule_seq = 0
         self._rule_buffers: Dict[int, List[Packet]] = {}
+        #: Host flowids this instance interned (``FlowId.for_host``), so
+        #: per-packet host-state probes reuse one object per address.
+        self.host_ids: Dict[str, FlowId] = {}
         self.event_sink: Optional[Callable[[PacketEvent], None]] = None
         self.event_channel = None  # ControlChannel towards the controller
         # Reliable-delivery machinery (active only under a fault plan).
@@ -164,32 +157,6 @@ class NetworkFunction:
         self._m_dropped_silent = dropped.bind(nf=name, mode="silent")
         self._m_dropped_evented = dropped.bind(nf=name, mode="evented")
         self._obs_cache_for = obs
-
-    def _gated_flow(self, obs, packet: Packet) -> Optional[str]:
-        """The packet's flow key if its trace records should be built.
-
-        ``None`` means the sampler's per-flow gate dropped the flow (and
-        no tap needs the record). The verdict and the flow-key string
-        are memoized together *on the five-tuple object* (shared by all
-        packets of one flow direction), tagged with the gate that
-        produced it so a different deployment's sampler never sees a
-        stale verdict — the steady-state cost is one dict probe with no
-        five-tuple hashing.
-        """
-        gate = obs.packet_gate
-        if gate is None:
-            return packet.flow_key()
-        verdict = packet.five_tuple._gate_keep
-        if verdict is None or verdict[0] is not gate:
-            verdict = self._gate_miss(gate, packet)
-        return verdict[1]
-
-    def _gate_miss(self, gate, packet: Packet) -> Tuple[Any, Optional[str]]:
-        """Resolve and memoize the gate verdict for an unseen flow."""
-        flow = packet.flow_key()
-        verdict = (gate, flow if gate(flow) else None)
-        object.__setattr__(packet.five_tuple, "_gate_keep", verdict)
-        return verdict
 
     def add_failure_listener(
         self, callback: Callable[["NetworkFunction"], None]
@@ -335,13 +302,14 @@ class NetworkFunction:
                 )
         else:  # BUFFER
             self.packets_buffered_by_event += 1
-            self.buffered_log.append((self.sim.now, packet.uid))
+            if self.record_ground_truth:
+                self.buffered_log.append((self.sim.now, packet.uid))
             obs = self.obs
             if obs.enabled:
                 if self._obs_cache_for is not obs:
                     self._bind_telemetry(obs)
                 self._m_buffered.inc(1)
-                flow = self._gated_flow(obs, packet)
+                flow = packet.sampled_flow(obs.packet_gate)
                 if flow is not None:
                     obs.tracer.record("nf.buffer", nf=self.name,
                                       uid=packet.uid, flow=flow)
@@ -374,20 +342,10 @@ class NetworkFunction:
         if obs.enabled:
             if self._obs_cache_for is not obs:
                 self._bind_telemetry(obs)
-            # Inlined _gated_flow: this is the single hottest telemetry
-            # site — the steady state must stay at one dict probe.
-            gate = obs.packet_gate
-            if gate is None:
+            flow = packet.sampled_flow(obs.packet_gate)
+            if flow is not None:
                 obs.tracer.record("nf.process", nf=self.name,
-                                  uid=packet.uid, flow=packet.flow_key())
-            else:
-                verdict = packet.five_tuple._gate_keep
-                if verdict is None or verdict[0] is not gate:
-                    verdict = self._gate_miss(gate, packet)
-                flow = verdict[1]
-                if flow is not None:
-                    obs.tracer.record("nf.process", nf=self.name,
-                                      uid=packet.uid, flow=flow)
+                                  uid=packet.uid, flow=flow)
         if rule is not None:
             self._raise_event(packet, EventAction.PROCESS)
         self._drain()
@@ -396,45 +354,7 @@ class NetworkFunction:
 
     def _match_rule(self, packet: Packet) -> Optional[EventRule]:
         """The most recently enabled rule matching ``packet``, or None."""
-        if not self.use_indexed_rules:
-            for rule in reversed(self._event_rules.values()):
-                if rule.filter.matches_packet(packet):
-                    return rule
-            return None
-        headers = packet.headers()
-        best: Optional[EventRule] = None
-        for key in packet_match_keys(headers):
-            if key is None:
-                continue
-            bucket = self._rules_exact.get(key)
-            if bucket:
-                rule = bucket[-1]  # buckets keep registration order
-                if best is None or rule.seq > best.seq:
-                    best = rule
-        for rule in reversed(self._rules_wild):
-            if best is not None and rule.seq < best.seq:
-                break  # every remaining wildcard rule is older than best
-            if rule.filter.matches_headers(headers):
-                return rule
-        return best
-
-    def _rule_candidates(self, flt: Filter) -> List[EventRule]:
-        """Rules whose filter could equal ``flt`` (exact-key bucket or
-        the wildcard list — equal filters always share a bucket)."""
-        key = flt.exact_key()
-        if key is None:
-            return self._rules_wild
-        return self._rules_exact.get(key, [])
-
-    def _unindex_rule(self, rule: EventRule) -> None:
-        key = rule.filter.exact_key()
-        if key is None:
-            self._rules_wild.remove(rule)
-            return
-        bucket = self._rules_exact[key]
-        bucket.remove(rule)
-        if not bucket:
-            del self._rules_exact[key]
+        return self._rules.best(packet)
 
     def _raise_event(self, packet: Packet, action: EventAction) -> None:
         self.events_raised += 1
@@ -502,7 +422,7 @@ class NetworkFunction:
         self, flt: Filter, action: EventAction, silent: bool = False
     ) -> None:
         """``enableEvents(filter, action)``: add or update an event rule."""
-        for rule in self._rule_candidates(flt):
+        for rule in self._rules.candidates(flt):
             if rule.filter == flt:
                 # Updated in place: the rule keeps its registration order,
                 # exactly as the list-based implementation did.
@@ -512,12 +432,7 @@ class NetworkFunction:
         self._rule_seq += 1
         rule = EventRule(flt, action, silent=silent)
         rule.seq = self._rule_seq
-        self._event_rules[rule.seq] = rule
-        key = flt.exact_key()
-        if key is None:
-            self._rules_wild.append(rule)
-        else:
-            self._rules_exact.setdefault(key, []).append(rule)
+        self._rules.add(rule)
 
     def sb_disable_events(self, flt: Filter) -> None:
         """``disableEvents(filter)``: drop the rule and release its buffer.
@@ -526,12 +441,11 @@ class NetworkFunction:
         the order they were buffered ("any buffered packets are released
         to the NF for processing when events are disabled").
         """
-        doomed = [r for r in self._rule_candidates(flt) if r.filter == flt]
+        doomed = [r for r in self._rules.candidates(flt) if r.filter == flt]
         released: List[Packet] = []
         for rule in doomed:
             released.extend(self._rule_buffers.pop(id(rule), []))
-            del self._event_rules[rule.seq]
-            self._unindex_rule(rule)
+            self._rules.discard(rule)
         if released and self.obs.enabled:
             self.obs.metrics.counter("nf.packets.released").inc(
                 len(released), nf=self.name
@@ -545,17 +459,17 @@ class NetworkFunction:
         """Disable every rule whose filter is subsumed by ``flt``.
 
         Convenience for cleaning up the per-flow rules late locking
-        creates (§5.1.3) with a single control message. One pass over the
-        rule set with O(1) removals — the per-rule ``sb_disable_events``
-        used to make this quadratic in the number of per-flow rules.
+        creates (§5.1.3) with a single control message: one pass over
+        the rules, oldest first; per-flow rules sit in hash buckets, so
+        each removal is O(1).
         """
-        for rule in list(self._event_rules.values()):
+        for rule in reversed(list(self._rules)):  # oldest first
             if flt.covers(rule.filter) or rule.filter == flt:
                 self.sb_disable_events(rule.filter)
 
     @property
     def event_rule_count(self) -> int:
-        return len(self._event_rules)
+        return len(self._rules)
 
     def buffered_packet_count(self) -> int:
         """Packets currently held by BUFFER-action rules."""
@@ -631,6 +545,7 @@ class NetworkFunction:
                         nf=self.name,
                         scope=chunk.scope.value,
                         key=repr(chunk.flowid),
+                        flowid=chunk.flowid and chunk.flowid.to_dict(),
                         bytes=chunk.size_bytes,
                     )
                 if stream is not None:
@@ -666,6 +581,7 @@ class NetworkFunction:
                         nf=self.name,
                         scope=chunk.scope.value,
                         key=repr(chunk.flowid),
+                        flowid=chunk.flowid and chunk.flowid.to_dict(),
                         bytes=chunk.size_bytes,
                     )
             return len(chunks)

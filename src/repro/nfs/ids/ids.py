@@ -119,7 +119,7 @@ class IntrusionDetector(NetworkFunction):
         if not packet.is_syn():
             return
         source = packet.five_tuple.src_ip
-        record_id = FlowId.for_host(source)
+        record_id = FlowId.for_host(source, self.host_ids)
         record = self.scans.get(record_id)
         if record is None:
             record = ScanRecord(source, now)
@@ -218,13 +218,10 @@ class IntrusionDetector(NetworkFunction):
         if scope is Scope.ALLFLOWS:
             return ["stats"]
         relevant = self.relevant_fields(scope)
-        indexed = self.use_indexed_state
         if scope is Scope.PERFLOW:
-            return self.conns.keys_matching(flt, relevant, indexed=indexed)
-        keys = self.scans.keys_matching(flt, relevant, indexed=indexed)
-        keys.extend(
-            self.ftp_expectations.keys_matching(flt, relevant, indexed=indexed)
-        )
+            return self.conns.keys_matching(flt, relevant)
+        keys = self.scans.keys_matching(flt, relevant)
+        keys.extend(self.ftp_expectations.keys_matching(flt, relevant))
         return keys
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:

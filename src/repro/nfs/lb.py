@@ -152,7 +152,7 @@ class LoadBalancer(NetworkFunction):
             del self.bindings[flow_id]
 
     def _stats_for(self, backend: str) -> BackendStats:
-        return self.backends[FlowId.for_host(backend)]
+        return self.backends[FlowId.for_host(backend, self.host_ids)]
 
     def backend_of(self, five_tuple) -> Optional[str]:
         binding = self.bindings.get(FlowId.for_flow(five_tuple.canonical()))
@@ -169,9 +169,7 @@ class LoadBalancer(NetworkFunction):
         if scope is Scope.ALLFLOWS:
             return ["rotor"]
         store = self.bindings if scope is Scope.PERFLOW else self.backends
-        return store.keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        return store.keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         if scope is Scope.ALLFLOWS:

@@ -102,7 +102,8 @@ class AssetMonitor(NetworkFunction):
 
     def process_packet(self, packet: Packet) -> None:
         now = self.sim.now
-        conn_id = FlowId.for_flow(packet.five_tuple.canonical())
+        five_tuple = packet.five_tuple
+        conn_id = FlowId.for_flow(five_tuple.canonical())
         conn = self.conns.get(conn_id)
         new_connection = conn is None
         if new_connection:
@@ -112,17 +113,17 @@ class AssetMonitor(NetworkFunction):
         conn.observe(packet, now)
 
         service = sniff_service(packet.payload)
-        for ip in (packet.five_tuple.src_ip, packet.five_tuple.dst_ip):
-            asset_id = FlowId.for_host(ip)
+        src_ip = five_tuple.src_ip
+        for ip in (src_ip, five_tuple.dst_ip):
+            asset_id = FlowId.for_host(ip, self.host_ids)
             asset = self.assets.get(asset_id)
             if asset is None:
                 asset = AssetRecord(ip, now)
                 self.assets[asset_id] = asset
             # A payload signature describes the host that sent it.
-            is_source = ip == packet.five_tuple.src_ip
             asset.observe(
                 now,
-                service=service if is_source else "",
+                service=service if ip == src_ip else "",
                 new_connection=new_connection,
             )
 
@@ -152,9 +153,7 @@ class AssetMonitor(NetworkFunction):
     def state_keys(self, scope: Scope, flt: Filter) -> List[Any]:
         if scope is Scope.ALLFLOWS:
             return ["stats"]
-        return self._store(scope).keys_matching(
-            flt, self.relevant_fields(scope), indexed=self.use_indexed_state
-        )
+        return self._store(scope).keys_matching(flt, self.relevant_fields(scope))
 
     def export_chunk(self, scope: Scope, key: Any) -> Optional[StateChunk]:
         if scope is Scope.ALLFLOWS:

@@ -198,9 +198,10 @@ class Observability:
             return self.sampling.finalize()
         return None
 
-    def operation(self, sim, report, kind: str, **attrs) -> OperationTrace:
+    def operation(self, sim, report, kind: str, flowspace=None,
+                  **attrs) -> OperationTrace:
         """Start an :class:`OperationTrace` for one northbound operation."""
-        return OperationTrace(self, sim, report, kind, **attrs)
+        return OperationTrace(self, sim, report, kind, flowspace, **attrs)
 
 
 #: Shared disabled instance used as the default everywhere an ``obs``

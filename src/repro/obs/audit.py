@@ -39,6 +39,9 @@ import json
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.flowspace.filter import Filter, FlowId
+from repro.flowspace.fivetuple import FlowKey
+
 #: Operation kinds whose window intercepts live packets (and must
 #: therefore be loss-free, modulo the baseline's deliberate defect).
 PACKET_OPS = ("move", "splitmerge-migrate", "share", "chain")
@@ -106,7 +109,7 @@ class _Op:
     """Registry entry for one operation seen on the stream."""
 
     __slots__ = (
-        "trace_id", "kind", "guarantee", "nfs", "src", "dst",
+        "trace_id", "kind", "guarantee", "nfs", "src", "dst", "filter",
         "open", "aborted", "started_ms", "closed_ms",
     )
 
@@ -127,6 +130,11 @@ class _Op:
         if instances:
             names.update(n for n in str(instances).split(",") if n)
         self.nfs = names
+        flowspace = record.get("flowspace")
+        #: The operation's filter (None for streams that predate it).
+        self.filter: Optional[Filter] = (
+            Filter.from_dict(flowspace) if flowspace else None
+        )
         self.open = True
         self.aborted: Optional[str] = None
         self.started_ms = record.get("time_ms", 0.0)
@@ -135,6 +143,34 @@ class _Op:
     @property
     def order_preserving(self) -> bool:
         return "order-preserving" in (self.guarantee or "")
+
+    def owns_flow(self, flow: str) -> bool:
+        """Whether the flow named ``flow`` lies in this op's flow space
+        (in either direction)."""
+        if self.filter is None:
+            return False
+        try:
+            key = FlowKey.from_name(flow)
+        except (TypeError, ValueError):
+            return False
+        return self.filter.matches_key(key) or self.filter.matches_key(
+            FlowKey(key.dst, key.dport, key.src, key.sport, key.proto))
+
+    def owns_flowid(self, flowid: Dict[str, Any]) -> bool:
+        """Whether the state chunk of ``flowid`` (as data) lies in this
+        op's flow space."""
+        return self.filter is not None and self.filter.matches_flowid(
+            FlowId.from_dict(flowid))
+
+
+def _innermost(ops: List[_Op], owns) -> Optional[_Op]:
+    """The most recently started of ``ops``; when several qualify, the
+    most recent one for which ``owns(op)`` holds, if any does."""
+    if len(ops) > 1:
+        for op in reversed(ops):
+            if owns(op):
+                return op
+    return ops[-1] if ops else None
 
 
 class OpRegistry:
@@ -176,18 +212,24 @@ class OpRegistry:
     def get(self, trace_id: Any) -> Optional[_Op]:
         return self.ops.get(trace_id)
 
-    def open_op_for_nf(self, nf: Optional[str], kinds=None) -> Optional[_Op]:
-        """Innermost (most recently started) open op involving ``nf``."""
-        best: Optional[_Op] = None
-        for op in self.ops.values():
-            if not op.open:
-                continue
-            if kinds is not None and op.kind not in kinds:
-                continue
-            if nf is not None and op.nfs and nf not in op.nfs:
-                continue
-            best = op
-        return best
+    def open_op_for_nf(self, nf: Optional[str], kinds=None,
+                       flow: Optional[str] = None) -> Optional[_Op]:
+        """Innermost (most recently started) open op involving ``nf``.
+
+        Several operations can involve one instance at once — two moves
+        leaving it for different destinations. Given the ``flow`` a
+        record is about, the innermost op whose flow space contains it
+        wins, so each packet is charged to the move that owns it.
+        """
+        ops = [
+            op for op in self.ops.values()
+            if op.open
+            and (kinds is None or op.kind in kinds)
+            and (nf is None or not op.nfs or nf in op.nfs)
+        ]
+        if flow is None:
+            return ops[-1] if ops else None
+        return _innermost(ops, lambda op: op.owns_flow(flow))
 
 
 class _Auditor:
@@ -245,7 +287,7 @@ class LossFreeAuditor(_Auditor):
             return
         attrs = span.get("attrs") or {}
         nf = attrs.get("nf")
-        op = self.registry.open_op_for_nf(nf, PACKET_OPS)
+        op = self.registry.open_op_for_nf(nf, PACKET_OPS, attrs.get("flow"))
         if op is None:
             return  # a drop outside any operation window is not ours
         if attrs.get("silent"):
@@ -267,7 +309,8 @@ class LossFreeAuditor(_Auditor):
     def on_record(self, record: Dict[str, Any]) -> None:
         name = record.get("name")
         if name == "nf.buffer":
-            op = self.registry.open_op_for_nf(record.get("nf"), PACKET_OPS)
+            op = self.registry.open_op_for_nf(record.get("nf"), PACKET_OPS,
+                                              record.get("flow"))
             if op is not None:
                 self._capture(record.get("uid"), op, record.get("flow"))
         elif name == "ctrl.buffer":
@@ -597,13 +640,14 @@ class StateConservationAuditor(_Auditor):
             return
         nf = record.get("nf")
         exporting = name == "nf.chunk.export"
-        op = None
-        for candidate in self.registry.ops.values():
-            if not candidate.open or candidate.kind not in STATE_OPS:
-                continue
-            anchor = candidate.src if exporting else candidate.dst
-            if anchor == nf:
-                op = candidate
+        candidates = [
+            op for op in self.registry.ops.values()
+            if op.open and op.kind in STATE_OPS
+            and (op.src if exporting else op.dst) == nf
+        ]
+        flowid = record.get("flowid")
+        op = _innermost(candidates, lambda op: flowid is not None
+                        and op.owns_flowid(flowid))
         if op is None or op.trace_id is None:
             return
         chunk_key = (record.get("scope"), record.get("key"))

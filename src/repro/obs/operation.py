@@ -33,7 +33,8 @@ _SAME = object()
 class OperationTrace:
     """Root span + phase spans for a move/copy/share operation."""
 
-    def __init__(self, obs, sim, report, kind: str, **attrs: Any) -> None:
+    def __init__(self, obs, sim, report, kind: str, flowspace: Any = None,
+                 **attrs: Any) -> None:
         self.obs = obs
         self.sim = sim
         self.report = report
@@ -47,7 +48,11 @@ class OperationTrace:
             self.root.set(trace_id=self.trace_id)
             # Streaming consumers (auditors, the flight recorder) need
             # to learn about the operation *now*; the root span only
-            # reaches the exporter when it closes.
+            # reaches the exporter when it closes. The operation's
+            # filter rides along as data, so they can tell which flows
+            # belong to which of several concurrent operations.
+            if flowspace is not None:
+                attrs["flowspace"] = flowspace.to_dict()
             obs.tracer.record(
                 "op.start", trace_id=self.trace_id, kind=kind, **attrs
             )

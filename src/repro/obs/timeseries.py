@@ -331,7 +331,7 @@ def snapshot_top(deployment) -> Dict[str, Any]:
     machines = getattr(deployment.switch, "_xfsm_machines", [])
     xfsm = {
         "machines": len(machines),
-        "buffered_now": sum(m._buffered_now() for m in machines),
+        "buffered_now": sum(m._buffered_count for m in machines),
     }
 
     violations = None

@@ -14,7 +14,7 @@ with fresh uids).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.flowspace.fivetuple import TCP, FiveTuple
 from repro.net.packet import Packet
@@ -29,10 +29,21 @@ class PacketBlueprint:
     seq: int = 0
     payload: str = ""
 
-    def build(self, created_at: float) -> Packet:
+    def build(
+        self,
+        created_at: float,
+        flag_sets: Optional[Dict[Tuple[str, ...], FrozenSet[str]]] = None,
+    ) -> Packet:
+        """A fresh packet. With ``flag_sets`` (a dict the caller owns),
+        packets with the same flags share one frozen flag set."""
+        flags: Iterable[str] = self.tcp_flags
+        if flag_sets is not None:
+            flags = flag_sets.get(self.tcp_flags)
+            if flags is None:
+                flags = flag_sets[self.tcp_flags] = frozenset(self.tcp_flags)
         return Packet(
             self.five_tuple,
-            tcp_flags=self.tcp_flags,
+            tcp_flags=flags,
             seq=self.seq,
             payload=self.payload,
             created_at=created_at,

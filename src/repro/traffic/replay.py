@@ -8,7 +8,7 @@ scheduled time and injects it into a callable (normally
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
@@ -33,6 +33,8 @@ class TraceReplayer:
         self.start_ms = start_ms
         #: Every packet instantiated, in injection order.
         self.injected: List[Packet] = []
+        #: The flag sets this replay's packets share (one per combination).
+        self._flag_sets: Dict[Tuple[str, ...], FrozenSet[str]] = {}
         self._started = False
         self.finished = sim.event("replay-finished")
 
@@ -57,7 +59,7 @@ class TraceReplayer:
         return self
 
     def _emit(self, blueprint: PacketBlueprint) -> None:
-        packet = blueprint.build(created_at=self.sim.now)
+        packet = blueprint.build(self.sim.now, self._flag_sets)
         self.injected.append(packet)
         self.inject(packet)
 

@@ -15,15 +15,22 @@ import json
 
 import pytest
 
+from repro import Deployment, Guarantee
 from repro.baselines import SplitMergeMigrate
 from repro.cli import main as cli_main
+from repro.flowspace import Filter, FiveTuple, FlowId
 from repro.harness import LOCAL_NET_FILTER, run_move_experiment
+from repro.harness.properties import check_loss_free, check_order_preserving
+from repro.nfs.monitor import AssetMonitor
 from repro.obs import (
     AuditPipeline,
     InMemoryExporter,
     render_bundle,
     replay_trace,
 )
+
+from repro.traffic.replay import TraceReplayer
+from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 
 pytestmark = pytest.mark.obs
 
@@ -230,6 +237,74 @@ class TestSyntheticStreams:
             })
         violations = pipeline.finalize()
         assert any(v.check == "share-serialization" for v in violations)
+
+
+class TestConcurrentMovesFromOneSource:
+    """Two moves leave one instance for different destinations at once.
+
+    Each packet and chunk is charged to the move whose flow space holds
+    its flow, so neither move is blamed for the other's packets.
+    """
+
+    MOVES = (("inst2", "10.0.1.0/29"), ("inst3", "10.0.1.8/29"))
+
+    def test_no_false_violations_and_ground_truth_holds(self):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=7, n_flows=300, data_packets=3))
+        dep = Deployment(shards=2, batching=True, offload=True, audit=True,
+                         telemetry=True)
+        nfs = [AssetMonitor(dep.sim, "inst%d" % i) for i in (1, 2, 3)]
+        for nf in nfs:
+            dep.add_nf(nf)
+        dep.set_default_route("inst1")
+        replayer = TraceReplayer(dep.sim, dep.inject, trace.packets,
+                                 rate_pps=50_000.0).start()
+        ops = []
+
+        def kickoff():
+            for dst, prefix in self.MOVES:
+                ops.append(dep.controller.move(
+                    "inst1", dst, Filter({"nw_src": prefix}, symmetric=True),
+                    guarantee=Guarantee.ORDER_PRESERVING))
+
+        dep.sim.schedule(replayer.duration_ms / 2.0, kickoff)
+        dep.run()
+        assert [op.done.value.aborted for op in ops] == [None, None]
+        assert all(op.done.value.chunks_moved.get("perflow") for op in ops)
+        assert dep.obs.violations() == []
+        assert check_loss_free(dep.switch, nfs)[0]
+        assert check_order_preserving(dep.switch, nfs, replayer.injected)[0]
+
+    @staticmethod
+    def _start(pipeline, trace_id, dst, prefix):
+        pipeline.on_record({
+            "name": "op.start", "time_ms": 0.0, "trace_id": trace_id,
+            "kind": "move", "guarantee": "loss-free", "src": "inst1",
+            "dst": dst, "filter": "Filter~{nw_src=%s}" % prefix,
+            "flowspace": Filter({"nw_src": prefix}, symmetric=True).to_dict(),
+        })
+
+    def test_capture_charged_to_the_move_owning_the_flow(self):
+        pipeline = AuditPipeline()
+        self._start(pipeline, 1, "inst2", "10.0.1.0/29")
+        self._start(pipeline, 2, "inst3", "10.0.1.8/29")
+        # Reverse-direction name of a flow of the *first* move, buffered
+        # at the shared source while the second move started last.
+        flow = "10.0.1.3:20001-203.0.113.5:80/6"
+        pipeline.on_record({"name": "nf.buffer", "time_ms": 4.0,
+                            "nf": "inst1", "uid": 42, "flow": flow})
+        pipeline.on_record({"name": "nf.process", "time_ms": 6.0,
+                            "nf": "inst2", "uid": 42, "flow": flow})
+        flowid = FlowId.for_flow(FiveTuple("10.0.1.3", 20001,
+                                           "203.0.113.5", 80))
+        for name, nf in (("nf.chunk.export", "inst1"),
+                         ("nf.chunk.import", "inst2")):
+            pipeline.on_record({"name": name, "time_ms": 5.0, "nf": nf,
+                                "scope": "perflow", "key": repr(flowid),
+                                "flowid": flowid.to_dict(), "bytes": 100})
+        for trace_id in (1, 2):
+            TestSyntheticStreams._close(pipeline, trace_id)
+        assert pipeline.finalize() == []
 
 
 class TestFlightRecorder:

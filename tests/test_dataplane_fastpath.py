@@ -1,13 +1,13 @@
 """Differential tests pinning the indexed fast paths to the linear oracles.
 
-The index structures (FlowTable buckets, BaseNF event-rule index,
-FlowKeyedStore) are always maintained; the ``indexed`` /
-``use_indexed_rules`` / ``use_indexed_state`` flags only switch the
-query strategy. These tests drive randomized workloads — exact,
-symmetric, reversed, prefix, port-only, and wildcard filters, with
-interleaved removals — through both strategies and require bit-identical
-results: same winning entries, same forward logs, same event actions,
-same state-key lists in the same order.
+The production structures (FlowTable buckets, the NF event-rule index,
+FlowKeyedStore) answer queries by probing with a packet's FlowKey; the
+oracles in ``tests/oracles`` answer the same queries by scanning every
+rule or flowid with the header-dict filter semantics. These tests drive
+randomized workloads — exact, symmetric, reversed, prefix, port-only,
+and wildcard filters, with interleaved removals — through both and
+require bit-identical results: same winning entries, same forward logs,
+same event actions, same state-key lists in the same order.
 """
 
 import random
@@ -21,6 +21,14 @@ from repro.net.packet import reset_uid_counter
 from repro.nf.events import EventAction
 from repro.nfs.dummy import DummyNF
 from repro.sim import Simulator
+from tests.oracles import (
+    LinearFlowTable,
+    linear_find,
+    linear_keys_matching,
+    linear_lookup,
+    linear_match_rule,
+    linear_overlapping,
+)
 
 IPS = ["10.0.%d.%d" % (i // 200, 1 + i % 200) for i in range(2000)] + \
     ["203.0.113.%d" % i for i in range(1, 4)]
@@ -103,7 +111,7 @@ class TestFlowTableDifferential:
         exact same entry object as the linear oracle for every packet."""
         rng = random.Random(42)
         pool = [random_five_tuple(rng) for _ in range(2000)]
-        table = FlowTable(indexed=True)
+        table = FlowTable()
         installed = []
         for step in range(4000):
             if installed and rng.random() < 0.2:
@@ -118,16 +126,12 @@ class TestFlowTableDifferential:
         for _ in range(500):
             packet = Packet(rng.choice(pool) if rng.random() < 0.7
                             else random_five_tuple(rng))
-            table.indexed = True
-            fast = table.lookup(packet)
-            table.indexed = False
-            slow = table.lookup(packet)
-            assert fast is slow
+            assert table.lookup(packet) is linear_lookup(table, packet)
 
     def test_randomized_find_and_overlap_equivalence(self):
         rng = random.Random(43)
         pool = [random_five_tuple(rng) for _ in range(150)]
-        table = FlowTable(indexed=True)
+        table = FlowTable()
         filters = [random_filter(rng, pool) for _ in range(400)]
         for i, flt in enumerate(filters):
             table.install(flt, rng.choice([10, 100, 1000]), ["p%d" % i],
@@ -135,12 +139,10 @@ class TestFlowTableDifferential:
         for _ in range(200):
             probe = rng.choice(filters) if rng.random() < 0.7 else \
                 random_filter(rng, pool)
-            table.indexed = True
-            fast_find = table.find(probe)
+            slow_find = linear_find(table, probe)
+            assert table.find(probe) is (slow_find[0] if slow_find else None)
             fast_overlap = table.entries_overlapping(probe)
-            table.indexed = False
-            assert fast_find is table.find(probe)
-            slow_overlap = table.entries_overlapping(probe)
+            slow_overlap = linear_overlapping(table, probe)
             assert [e.entry_id for e in fast_overlap] == \
                 [e.entry_id for e in slow_overlap]
 
@@ -154,7 +156,7 @@ class TestFlowTableDifferential:
             pool = [random_five_tuple(rng) for _ in range(200)]
             sim = Simulator()
             switch = Switch(sim)
-            switch.table.indexed = indexed
+            switch.table = FlowTable() if indexed else LinearFlowTable()
             for port in ("a", "b", "c"):
                 switch.attach(port, lambda p: None, Link(sim))
             for step in range(300):
@@ -192,10 +194,8 @@ class TestEventRuleDifferential:
         for _ in range(500):
             packet = Packet(rng.choice(pool) if rng.random() < 0.7
                             else random_five_tuple(rng))
-            nf.use_indexed_rules = True
             fast = nf._match_rule(packet)
-            nf.use_indexed_rules = False
-            slow = nf._match_rule(packet)
+            slow = linear_match_rule(nf, packet)
             assert fast is slow
             if fast is not None:
                 assert fast.effective_action(packet) is \
@@ -203,15 +203,14 @@ class TestEventRuleDifferential:
 
     def test_update_in_place_keeps_precedence(self):
         """Re-enabling an existing filter must not promote it over rules
-        enabled later — in either matching mode."""
+        enabled later — indexed or scanned."""
         ft = FiveTuple("10.0.0.1", 80, "10.0.0.2", 443)
-        for indexed in (True, False):
-            nf = DummyNF(Simulator(), "dut")
-            nf.use_indexed_rules = indexed
-            nf.sb_enable_events(Filter(ft.headers()), EventAction.BUFFER)
-            nf.sb_enable_events(Filter.wildcard(), EventAction.DROP)
-            nf.sb_enable_events(Filter(ft.headers()), EventAction.PROCESS)
-            rule = nf._match_rule(Packet(ft))
+        nf = DummyNF(Simulator(), "dut")
+        nf.sb_enable_events(Filter(ft.headers()), EventAction.BUFFER)
+        nf.sb_enable_events(Filter.wildcard(), EventAction.DROP)
+        nf.sb_enable_events(Filter(ft.headers()), EventAction.PROCESS)
+        for rule in (nf._match_rule(Packet(ft)),
+                     linear_match_rule(nf, Packet(ft))):
             assert rule.action is EventAction.DROP
 
 
@@ -233,8 +232,8 @@ class TestStateStoreDifferential:
         relevant = ("nw_src", "nw_dst", "nw_proto", "tp_src", "tp_dst")
         for _ in range(300):
             flt = random_filter(rng)
-            fast = store.keys_matching(flt, relevant, indexed=True)
-            slow = store.keys_matching(flt, relevant, indexed=False)
+            fast = store.keys_matching(flt, relevant)
+            slow = linear_keys_matching(store, flt, relevant)
             assert fast == slow
 
     def test_projection_drops_fast_path_not_matches(self):
@@ -247,6 +246,6 @@ class TestStateStoreDifferential:
         flt = Filter(ft.headers())
         # Projected onto IPs only, the full-tuple filter still selects the
         # host aggregate; both strategies must agree.
-        fast = store.keys_matching(flt, ("nw_src", "nw_dst"), indexed=True)
-        slow = store.keys_matching(flt, ("nw_src", "nw_dst"), indexed=False)
+        fast = store.keys_matching(flt, ("nw_src", "nw_dst"))
+        slow = linear_keys_matching(store, flt, ("nw_src", "nw_dst"))
         assert fast == slow == [host]

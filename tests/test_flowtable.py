@@ -1,8 +1,8 @@
 """Unit tests for FlowTable semantics and the exact-match index.
 
 Every ordering-sensitive test runs against both the indexed fast path
-and the linear reference oracle (``indexed=False``) — the two must be
-bit-identical.
+and the linear reference oracle (``tests.oracles.LinearFlowTable``) —
+the two must be bit-identical.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.net import (
     TableFullError,
 )
 from repro.sim import Simulator
+from tests.oracles import LinearFlowTable, linear_lookup
 
 
 FLOW = FiveTuple("10.0.1.2", 1234, "203.0.113.5", 80)
@@ -30,7 +31,7 @@ def exact_filter(ft=FLOW, symmetric=False):
 
 @pytest.fixture(params=[True, False], ids=["indexed", "linear"])
 def table(request):
-    return FlowTable(indexed=request.param)
+    return FlowTable() if request.param else LinearFlowTable()
 
 
 class TestLookupSemantics:
@@ -146,7 +147,7 @@ class TestEntriesOverlapping:
 
 class TestIndexedOracleAgreement:
     def test_toggle_preserves_lookups(self):
-        table = FlowTable(indexed=True)
+        table = FlowTable()
         filters = [
             Filter.wildcard(),
             Filter({"nw_src": "10.0.0.0/8"}),
@@ -160,11 +161,7 @@ class TestIndexedOracleAgreement:
         packets = [Packet(FLOW), Packet(FLOW.reversed()),
                    Packet(FiveTuple("172.16.0.1", 5, "172.16.0.2", 6))]
         for packet in packets:
-            table.indexed = True
-            fast = table.lookup(packet)
-            table.indexed = False
-            slow = table.lookup(packet)
-            assert fast is slow
+            assert table.lookup(packet) is linear_lookup(table, packet)
 
 
 class TestCapacity:

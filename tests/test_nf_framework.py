@@ -201,6 +201,19 @@ class TestProcessingLoop:
         assert nf.packets_processed == 3
         assert nf.buffered_packet_count() == 0
 
+    def test_buffered_log_follows_record_ground_truth(self, sim, flow):
+        """Like the other per-packet logs, ``buffered_log`` is kept only
+        when ground truth is recorded, so a long run stays bounded."""
+        for record in (True, False):
+            nf = monitor(sim)
+            nf.record_ground_truth = record
+            nf.sb_enable_events(Filter.wildcard(), EventAction.BUFFER)
+            for _ in range(3):
+                nf.receive(make_packet(flow))
+            sim.run()
+            assert nf.packets_buffered_by_event == 3
+            assert len(nf.buffered_log) == (3 if record else 0)
+
     def test_buffer_release_preserves_order(self, sim, flow):
         nf = monitor(sim)
         flt = Filter({"tp_dst": 80})

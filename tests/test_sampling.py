@@ -248,18 +248,19 @@ class TestObservabilityIntegration:
                       rate_pps=5000.0).start()
         dep.sim.run()
         gate = dep.obs.packet_gate
-        # Blueprints share their FiveTuple objects with the packets they
-        # built, so the gate's per-flow verdicts are visible here.
+        # Blueprints share their FiveTuples (and so their FlowKeys) with
+        # the packets they built, so the gate's per-flow verdicts are
+        # visible here.
         tuples = list({
             id(bp.five_tuple): bp.five_tuple for bp in trace.packets
         }.values())
-        cached = [t for t in tuples if t._gate_keep is not None]
+        cached = [t for t in tuples if t.key.gate is not None]
         assert cached
         # Every cached verdict is tagged with *this* deployment's gate
         # (a stale gate from another run must never be trusted) and
         # agrees with a fresh, memo-free recomputation.
         for five_tuple in cached:
-            gate_tag, flow = five_tuple._gate_keep
+            gate_tag, flow = five_tuple.key.gate
             assert gate_tag is gate
             assert (flow is not None) == gate(Packet(five_tuple).flow_key())
 

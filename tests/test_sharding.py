@@ -200,9 +200,8 @@ class TestCrossShard:
         assert plane.handoffs_completed == 1
         # Shard 0 now owns the transferred flow space: traffic that
         # previously routed to shard 1 by hash routes to the new owner.
-        headers = FiveTuple("172.17.0.9", 10000, "198.18.0.1",
-                            80, 6).headers()
-        assert plane._route_headers(headers) == 0
+        packet = Packet(FiveTuple("172.17.0.9", 10000, "198.18.0.1", 80, 6))
+        assert plane._route(packet) == 0
         # Operation-lifetime claims are all released.
         assert plane._claims == []
 
