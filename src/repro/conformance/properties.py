@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.flowspace.filter import Filter
+from repro.flowspace.filter import Filter, FlowId
 
 #: Operation kinds whose chunk transfers are strictly src→dst counted.
 _COUNTED_KINDS = ("move", "copy", "splitmerge-migrate")
@@ -83,7 +83,7 @@ class _TracedOp:
 
     __slots__ = (
         "trace_id", "kind", "src", "dst", "instances", "filter",
-        "chain_id", "started_ms", "ended_ms", "aborted",
+        "flowspace", "chain_id", "started_ms", "ended_ms", "aborted",
         "exports", "imports", "import_order_ok",
     )
 
@@ -98,6 +98,11 @@ class _TracedOp:
             n for n in str(record.get("instances") or "").split(",") if n
         )
         self.filter = parse_filter_repr(record.get("filter"))
+        flowspace = record.get("flowspace")
+        #: The flow space as recorded data (None for older streams).
+        self.flowspace: Optional[Filter] = (
+            Filter.from_dict(flowspace) if flowspace else None
+        )
         self.started_ms = time_ms
         self.ended_ms: Optional[float] = None
         self.aborted: Optional[str] = None
@@ -113,23 +118,34 @@ class _TracedOp:
             n for n in (self.src, self.dst) if n
         )
 
+    def owns_flowid(self, flowid: Optional[Dict[str, Any]]) -> bool:
+        """Whether a chunk's ``flowid`` (as data) lies in the flow space."""
+        return (flowid is not None and self.flowspace is not None
+                and self.flowspace.matches_flowid(FlowId.from_dict(flowid)))
+
 
 def _collect_ops(entries) -> Dict[int, _TracedOp]:
     """First pass: operation windows, abort flags, and chunk ledgers."""
     ops: Dict[int, _TracedOp] = {}
 
-    def op_for_chunk(nf: Optional[str], exporting: bool) -> Optional[_TracedOp]:
-        best = None
+    def op_for_chunk(nf: Optional[str], exporting: bool,
+                     flowid: Optional[Dict[str, Any]]) -> Optional[_TracedOp]:
+        """The latest open op at ``nf`` whose flow space holds the
+        chunk; the latest open op at ``nf`` when none does."""
+        candidates = []
         for op in ops.values():
             if op.ended_ms is not None:
                 continue
             if op.kind in _COUNTED_KINDS:
-                anchor = op.src if exporting else op.dst
-                if anchor == nf:
-                    best = op
+                if (op.src if exporting else op.dst) == nf:
+                    candidates.append(op)
             elif op.kind == "share" and nf in op.names:
-                best = op
-        return best
+                candidates.append(op)
+        if len(candidates) > 1:
+            for op in reversed(candidates):
+                if op.owns_flowid(flowid):
+                    return op
+        return candidates[-1] if candidates else None
 
     for time_ms, kind, entry in entries:
         if kind != "record":
@@ -146,7 +162,7 @@ def _collect_ops(entries) -> Dict[int, _TracedOp]:
                 op.aborted = entry.get("aborted")
         elif name in ("nf.chunk.export", "nf.chunk.import"):
             exporting = name == "nf.chunk.export"
-            op = op_for_chunk(entry.get("nf"), exporting)
+            op = op_for_chunk(entry.get("nf"), exporting, entry.get("flowid"))
             if op is None:
                 continue
             chunk_key = (entry.get("scope"), entry.get("key"))

@@ -280,6 +280,10 @@ class OpenNFController:
         self.event_gap_timeout_ms = 200.0
         self.events_duplicate_dropped = 0
         self.events_gap_skipped = 0
+        #: NF events that reached dispatch with no interest to claim
+        #: them and no default handler (each one is a dropped packet
+        #: for a DROP event).
+        self.events_unclaimed = 0
         self.clients: Dict[str, NFClient] = {}
         self.nf_ports: Dict[str, str] = {}
         #: Incrementally maintained inverse of :attr:`nf_ports`, so
@@ -590,6 +594,8 @@ class OpenNFController:
                 return
         if self.default_event_handler is not None:
             self.default_event_handler(event)
+        else:
+            self.events_unclaimed += 1
 
     def handle_packet_in(self, packet: Packet) -> None:
         """Entry point for packet-ins from the switch."""

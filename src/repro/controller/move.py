@@ -476,15 +476,20 @@ class MoveOperation(Operation):
                     yield self.counter_poll_ms
 
                 await_ph.span.set(packet_ins=self._packet_in_count)
-                if self._packet_in_count > 0:
-                    last_uid = self._last_packet.uid
+                # The last packet srcInst will see: the last one phase 1
+                # copied to us or, when the switch sent none that way,
+                # the last one the old route left queued at srcInst (a
+                # backlogged source can hold some long after phase 2).
+                last = (self._last_packet if self._packet_in_count > 0
+                        else self.src.nf.last_queued(self.flt))
+                if last is not None:
+                    last_uid = last.uid
                     # wait for srcInst's event for the last packet (it is
                     # then forwarded to dstInst by _on_src_event, marked
                     # do-not-buffer).
                     if last_uid not in self._src_evented_uids:
-                        waiter = self.sim.event("await-src-last")
-                        self._await_src = (last_uid, waiter)
-                        yield waiter
+                        yield from self._await_src_event(
+                            last_uid, "await-src-last")
                     # wait(DST_PROCESSED_LAST_PKT)
                     if last_uid not in self._dst_processed_uids:
                         waiter = self.sim.event("await-dst-last")
@@ -924,6 +929,18 @@ class MoveOperation(Operation):
         else:
             self._forward_to_dst(packet, mark)
 
+    def _await_src_event(self, uid: int, name: str):
+        """Wait until srcInst's event for packet ``uid`` reaches this
+        operation; a source that fails meanwhile aborts it instead."""
+        nf = self.src.nf
+        waiter = self.sim.event(name)
+        self._await_src = (uid, waiter)
+        nf.add_failure_listener(
+            lambda _nf: waiter.triggered or waiter.trigger())
+        yield waiter
+        if nf.failed:
+            raise NFCrash("%s is down: %s" % (nf.name, nf.failure_reason))
+
     def _on_dst_event(self, event: PacketEvent) -> None:
         uid = event.packet.uid
         self._dst_processed_uids.add(uid)
@@ -1011,6 +1028,26 @@ class MoveOperation(Operation):
 
     # ----------------------------------------------------------------- cleanup
 
+    def _await_source_events(self):
+        """Keep the source interest until the source's events are handled.
+
+        The source raised an event for each packet its DROP rule caught
+        before ``disableEvents`` took effect, and the response trails
+        those events on the FIFO NF channel. A backlogged inbox may
+        still hold some of them when the response arrives; this
+        operation's interest must outlive the last one, or the
+        controller finds no claimant and the packet is lost. The inbox
+        hands events over in order, so the last one's arrival covers the
+        rest. Nothing waits when no such event is queued.
+        """
+        last = None
+        for kind, payload, _handler in self.shard.inbox.queued():
+            if (kind == "event" and payload.nf_name == self.src.name
+                    and self.flt.matches_packet(payload.packet)):
+                last = payload.packet
+        if last is not None:
+            yield from self._await_src_event(last.uid, "await-src-events")
+
     def _cleanup(self):
         with self.trace.phase("cleanup", mark=None):
             yield self.drain_grace_ms
@@ -1029,6 +1066,7 @@ class MoveOperation(Operation):
                 self._xfsm_installed = False
             # Remove the source's event rules (global and late-locked per-flow).
             yield self.src.disable_events_covered(self.flt)
+            yield from self._await_source_events()
             # Flush anything that trickled in during the grace period.
             self._flush_queues(
                 mark=not self.offload

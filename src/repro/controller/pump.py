@@ -19,7 +19,7 @@ backlog statistics stay comparable across batched and unbatched runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque
+from typing import Any, Callable, Deque, Iterator
 
 from repro.sim.core import Event, Simulator
 
@@ -82,6 +82,10 @@ class ChunkPump:
             self.sim.schedule(self.per_item_ms, self._drain)
         else:
             self._busy = False
+
+    def queued(self) -> Iterator[Any]:
+        """The items waiting to be handled, oldest first."""
+        return (item for item, _weight in self._queue)
 
     def drained(self) -> Event:
         """An event that fires once everything queued *so far* is handled.

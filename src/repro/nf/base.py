@@ -467,6 +467,13 @@ class NetworkFunction:
             if flt.covers(rule.filter) or rule.filter == flt:
                 self.sb_disable_events(rule.filter)
 
+    def last_queued(self, flt: Filter) -> Optional[Packet]:
+        """The input queue's last packet matching ``flt``, or None."""
+        for packet in reversed(self._queue):
+            if flt.matches_packet(packet):
+                return packet
+        return None
+
     @property
     def event_rule_count(self) -> int:
         return len(self._rules)

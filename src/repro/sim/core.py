@@ -1,9 +1,19 @@
 """Core discrete-event simulator: virtual clock, event queue, and events.
 
-The simulator maintains a priority queue of ``(time, sequence, callback)``
-entries. Time is a float in *milliseconds* throughout the reproduction
-(the paper reports operation times in ms). Entries scheduled for the same
-instant run in FIFO order, which keeps runs deterministic.
+Time is a float in *milliseconds* throughout the reproduction (the paper
+reports operation times in ms). The queue is a heap of plain
+``(when, seq, callback, args)`` tuples, ordered totally on
+``(when, seq)``: ``seq`` comes from one counter, so entries due at the
+same instant run in the order they were scheduled, which keeps runs
+deterministic.
+
+:meth:`Simulator.schedule_series` queues a long run of callbacks, such
+as a trace's arrivals, one step at a time: it reserves a block of
+sequence numbers up front, and each step queues the next under its
+reserved number before it runs. The heap then holds only what is due
+soon, and the order is the one the individual ``schedule`` calls would
+give. :meth:`Simulator.cancel` marks an entry's sequence number, and
+the loop skips it when it comes up.
 
 :class:`Event` is a one-shot, latching synchronization primitive modeled
 after simpy's events: it can be triggered with a value or failed with an
@@ -14,9 +24,14 @@ until it triggers.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set, Tuple
+
+#: A queue entry: ``(when, seq, callback, args)``.
+Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+
+_INFINITY = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -109,27 +124,16 @@ class Event:
         return "<Event %s %s>" % (self.name or hex(id(self)), state)
 
 
-class _ScheduledCall:
-    """Handle to a scheduled callback, allowing cancellation."""
-
-    __slots__ = ("callback", "args", "cancelled")
-
-    def __init__(self, callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Simulator:
     """Deterministic discrete-event simulator with a millisecond clock."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, _ScheduledCall]] = []
+        #: Heap of ``(when, seq, callback, args)`` entries.
+        self._queue: List[Entry] = []
         self._sequence = itertools.count()
+        #: Sequence numbers of cancelled entries not yet popped.
+        self._cancelled: Set[int] = set()
         self._event_count = 0
 
     @property
@@ -144,29 +148,80 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Queued (possibly cancelled) entries still awaiting execution.
+        """Queued entries still awaiting execution, cancelled ones included.
 
-        A cheap liveness probe: the progress reporter re-arms its next
-        tick only while this is non-zero, so it can never keep the
-        event loop alive on its own.
+        A series counts as one entry however many steps it has left,
+        since only its next step is queued. This is a liveness probe,
+        not a size: the progress reporter re-arms its next tick only
+        while it is non-zero, so it can never keep the event loop alive
+        on its own.
         """
         return len(self._queue)
 
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> _ScheduledCall:
-        """Run ``callback(*args)`` after ``delay`` ms of simulated time."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Entry:
+        """Run ``callback(*args)`` after ``delay`` ms of simulated time.
+
+        Returns the queue entry, which :meth:`cancel` accepts.
+        """
         if delay < 0:
             raise SimulationError("cannot schedule %.3f ms in the past" % delay)
-        entry = _ScheduledCall(callback, args)
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), entry))
+        entry = (self._now + delay, next(self._sequence), callback, args)
+        heappush(self._queue, entry)
         return entry
 
-    def call_at(
-        self, when: float, callback: Callable[..., None], *args: Any
-    ) -> _ScheduledCall:
+    def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> Entry:
         """Run ``callback(*args)`` at absolute simulated time ``when``."""
         return self.schedule(when - self._now, callback, *args)
+
+    def schedule_series(
+        self,
+        delays: Iterable[float],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+    ) -> None:
+        """Run ``callback(item)`` for each item, each after its delay.
+
+        The order and clock values are exactly those of one
+        ``schedule(delay, callback, item)`` call per pair made now: a
+        contiguous block of sequence numbers is reserved here, and each
+        time is ``now + delay`` with ``now`` read here. Only the next
+        step is queued; it queues the one after it before it runs its
+        callback. ``delays`` is read lazily, one value per step, so it
+        may be a generator; it must not decrease and must yield at
+        least ``len(items)`` values. A series cannot be cancelled.
+        """
+        count = len(items)
+        if not count:
+            return
+        delays = iter(delays)
+        first = next(delays)
+        if first < 0:
+            raise SimulationError("cannot schedule %.3f ms in the past" % first)
+        seq = next(self._sequence)
+        self._sequence = itertools.count(seq + count)
+        base = self._now
+        queue = self._queue
+        items = iter(items)
+        later = iter(range(seq + 1, seq + count))
+
+        def step() -> None:
+            item = next(items)
+            next_seq = next(later, None)
+            if next_seq is not None:
+                when = base + next(delays)
+                if when < self._now:
+                    raise SimulationError("series delays must not decrease")
+                heappush(queue, (when, next_seq, step, ()))
+            callback(item)
+
+        heappush(queue, (base + first, seq, step, ()))
+
+    def cancel(self, entry: Entry) -> None:
+        """Keep a queued ``schedule`` entry from running.
+
+        Cancelling an entry that has already run has no effect.
+        """
+        self._cancelled.add(entry[1])
 
     def event(self, name: str = "") -> Event:
         """Create a new pending :class:`Event`."""
@@ -195,22 +250,28 @@ class Simulator:
         ``until`` (the clock is then advanced to exactly ``until``), or
         after ``max_events`` callbacks. Returns the final clock value.
         """
+        queue = self._queue
+        pop = heappop
+        cancelled = self._cancelled
+        horizon = _INFINITY if until is None else until
+        stop = -1 if max_events is None else max(1, max_events)
         executed = 0
-        while self._queue:
-            when, _seq, entry = self._queue[0]
-            if until is not None and when > until:
+        while queue:
+            when, seq, callback, args = queue[0]
+            if when > horizon:
                 self._now = until
-                return self._now
-            heapq.heappop(self._queue)
-            if entry.cancelled:
+                return until
+            pop(queue)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
             if when < self._now:
                 raise SimulationError("event queue time went backwards")
             self._now = when
-            entry.callback(*entry.args)
+            callback(*args)
             self._event_count += 1
             executed += 1
-            if max_events is not None and executed >= max_events:
+            if executed == stop:
                 return self._now
         if until is not None and until > self._now:
             self._now = until

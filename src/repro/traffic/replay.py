@@ -48,13 +48,14 @@ class TraceReplayer:
         if self._started:
             raise RuntimeError("replay already started")
         self._started = True
-        for index, blueprint in enumerate(self.blueprints):
-            self.sim.schedule(
-                self.start_ms + index * self.interval_ms, self._emit, blueprint
-            )
+        start, interval = self.start_ms, self.interval_ms
+        self.sim.schedule_series(
+            (start + index * interval for index in range(len(self.blueprints))),
+            self._emit,
+            self.blueprints,
+        )
         self.sim.schedule(
-            self.start_ms + len(self.blueprints) * self.interval_ms,
-            self.finished.trigger,
+            start + len(self.blueprints) * interval, self.finished.trigger
         )
         return self
 

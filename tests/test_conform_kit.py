@@ -33,7 +33,8 @@ from repro.conformance import (
     run_cell,
     run_schedule,
 )
-from repro.flowspace import Filter
+from repro.conformance.properties import _collect_ops
+from repro.flowspace import Filter, FiveTuple, FlowId
 
 pytestmark = pytest.mark.conformance
 
@@ -213,6 +214,40 @@ class TestPropertyCheckers:
             _chunk("nf.chunk.import", "inst1", "k1", 2.0),  # restore put
             _op_end(1, 3.0, aborted="fault"),
         ]
+        assert check_no_phantom_state(entries) == []
+
+    def test_concurrent_moves_from_one_source_get_their_own_chunks(self):
+        """Two moves leave inst1 at once; each chunk is charged to the
+        move whose flow space holds its flowid, not to the latest one."""
+        def start(trace_id, at, prefix, dst):
+            entry = _op_start(trace_id, at, prefix=prefix, dst=dst)
+            entry[2]["flowspace"] = Filter(
+                {"nw_src": prefix}, symmetric=True).to_dict()
+            return entry
+
+        def flowid(host):
+            return FlowId.for_flow(FiveTuple(host, 20001, "203.0.113.5", 80))
+
+        def chunk(name, nf, host, at):
+            return (at, "record", {
+                "name": name, "nf": nf, "scope": "perflow",
+                "key": repr(flowid(host)), "flowid": flowid(host).to_dict()})
+
+        entries = [
+            start(1, 1.0, "10.0.1.0/29", "inst2"),
+            start(2, 1.5, "10.0.1.8/29", "inst3"),
+            chunk("nf.chunk.export", "inst1", "10.0.1.3", 2.0),
+            chunk("nf.chunk.export", "inst1", "10.0.1.9", 2.1),
+            chunk("nf.chunk.import", "inst2", "10.0.1.3", 3.0),
+            chunk("nf.chunk.import", "inst3", "10.0.1.9", 3.1),
+            _op_end(1, 4.0),
+            _op_end(2, 4.5),
+        ]
+        ops = _collect_ops(entries)
+        for trace_id, host in ((1, "10.0.1.3"), (2, "10.0.1.9")):
+            own = {("perflow", repr(flowid(host))): 1}
+            assert ops[trace_id].exports == own
+            assert ops[trace_id].imports == own
         assert check_no_phantom_state(entries) == []
 
     def test_parse_filter_repr_roundtrip(self):

@@ -20,17 +20,27 @@ landing in the same timestamp as the in-flight hop move's completion
 must treat that hop as *completed* (one reverse move during rollback),
 never forward a stale cancellation into a hop whose release barrier has
 already drained.
+
+And two moves leaving one backlogged instance at once, on the
+controller-buffered path: the source raised events for packets still
+queued there after both moves had retired their interests, and the
+controller discarded those events unclaimed.
 """
 
 import pytest
 
+from repro import Deployment, Guarantee
 from repro.controller.controller import OpenNFController
 from repro.faults import FaultPlan
 from repro.flowspace import Filter, FiveTuple
 from repro.harness import build_multi_instance_deployment, check_loss_free
+from repro.harness.properties import check_order_preserving
 from repro.nf.events import EventAction, PacketEvent
 from repro.nfs.dummy import DummyNF
+from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
+from repro.traffic.replay import TraceReplayer
+from repro.traffic.traces import TraceConfig, build_university_cloud_trace
 from tests.conftest import make_packet
 
 
@@ -290,3 +300,71 @@ class TestChainAbortRacingHopCompletion:
         # original instance and the admission table drained.
         assert [hop.active for hop in chain.hops] == ["a1", "b1"]
         assert dep.controller.replicas[0].admission == {}
+
+
+class TestConcurrentMovesOutOfOneSource:
+    """Two moves leave ``inst1`` for ``inst2`` and ``inst3`` at once.
+
+    The trace ends before phase 1, so no packet reaches the controller
+    that way, yet ``inst1``'s backlog still holds packets of both flow
+    spaces. Each move must keep its source interest until the source's
+    events for them are handled, so no event goes unclaimed. An
+    order-preserving move must also wait for the source's last queued
+    packet before it releases the destination, so no moved flow's
+    record is rebuilt at the source.
+    """
+
+    MOVES = (("inst2", "10.0.1.0/29"), ("inst3", "10.0.1.8/29"))
+
+    def run_pair(self, guarantee, shards, offload, crash_at=None):
+        trace = build_university_cloud_trace(
+            TraceConfig(seed=7, n_flows=300, data_packets=3))
+        dep = Deployment(shards=shards, batching=None, offload=offload,
+                         observe=False, telemetry=False)
+        nfs = [AssetMonitor(dep.sim, "inst%d" % i) for i in (1, 2, 3)]
+        for nf in nfs:
+            dep.add_nf(nf)
+        dep.set_default_route("inst1")
+        replayer = TraceReplayer(dep.sim, dep.inject, trace.packets,
+                                 rate_pps=50_000.0).start()
+        ops = []
+
+        def kickoff():
+            for dst, prefix in self.MOVES:
+                ops.append(dep.controller.move(
+                    "inst1", dst, Filter({"nw_src": prefix}, symmetric=True),
+                    guarantee=guarantee))
+
+        dep.sim.schedule(replayer.duration_ms / 2.0, kickoff)
+        if crash_at is not None:
+            dep.sim.schedule(crash_at, nfs[0].fail, "crashed mid-move")
+        dep.run()
+        return trace, dep, nfs, replayer, ops
+
+    @pytest.mark.parametrize("offload", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("guarantee", [Guarantee.LOSS_FREE,
+                                           Guarantee.ORDER_PRESERVING])
+    def test_no_packet_lost(self, guarantee, shards, offload):
+        trace, dep, nfs, replayer, ops = self.run_pair(guarantee, shards,
+                                                       offload)
+        assert [op.done.value.aborted for op in ops] == [None, None]
+        assert dep.controller.events_unclaimed == 0
+        assert check_loss_free(dep.switch, nfs) == (True, "")
+        if guarantee is not Guarantee.ORDER_PRESERVING:
+            return
+        assert check_order_preserving(dep.switch, nfs, replayer.injected)[0]
+        for _dst, prefix in self.MOVES:
+            flt = Filter({"nw_src": prefix}, symmetric=True)
+            for flow in trace.flows:
+                if flt.matches_headers(flow.five_tuple.headers()):
+                    assert nfs[0].conn_for(flow.five_tuple) is None
+
+    def test_source_failing_during_the_wait_aborts_the_moves(self):
+        # Without offload both moves wait for the source's last queued
+        # packet from about 110 to 200 sim-ms; the source fail-stops
+        # in between.
+        _trace, _dep, _nfs, _replayer, ops = self.run_pair(
+            Guarantee.ORDER_PRESERVING, 1, False, crash_at=150.0)
+        assert [op.done.value.aborted for op in ops] == [
+            "inst1 is down: crashed mid-move"] * 2

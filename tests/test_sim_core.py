@@ -55,7 +55,7 @@ class TestScheduling:
     def test_cancelled_entry_does_not_run(self, sim):
         seen = []
         handle = sim.schedule(1.0, lambda: seen.append("x"))
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert seen == []
 
