@@ -96,12 +96,8 @@ def measure_streamed_get(nf_factory, n_flows: int, batch: bool):
     received = []
     finished = {}
     start = sim.now
-    if batch:
-        done = client.get_perflow(Filter.wildcard(),
-                                  stream_frame=received.extend)
-    else:
-        done = client.get_perflow(Filter.wildcard(),
-                                  stream=received.append)
+    done = client.get_perflow(Filter.wildcard(),
+                              stream_frame=received.extend)
     # Measure at RPC completion: a trailing (no-op) flush timer would
     # otherwise pad sim.now past the actual transfer.
     done.add_callback(lambda _evt: finished.setdefault("at", sim.now))

@@ -67,12 +67,8 @@ def _southbound_row(batching):
     received = []
     finished = {}
     start = sim.now
-    if batching is not None:
-        done = client.get_perflow(Filter.wildcard(),
-                                  stream_frame=received.extend)
-    else:
-        done = client.get_perflow(Filter.wildcard(),
-                                  stream=received.append)
+    done = client.get_perflow(Filter.wildcard(),
+                              stream_frame=received.extend)
     done.add_callback(lambda _evt: finished.setdefault("at", sim.now))
     sim.run()
     assert len(received) == N_FLOWS

@@ -463,7 +463,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             print("repro audit: error: %s" % exc, file=sys.stderr)
             return 2
         try:
-            payload = json.load(open(args.path))
+            with open(args.path) as handle:
+                payload = json.load(handle)
         except ValueError:
             payload = None
         if isinstance(payload, dict) and "causal_slice" in payload:

@@ -193,20 +193,14 @@ class Shard:
         done.add_callback(_release)
         return handle
 
-    def enqueue_chunk(self, handler: Callable[[Any], None], chunk: Any) -> None:
-        """Route a streamed state chunk through the serialized inbox."""
-        if self.controller.obs.enabled:
-            self.inbox_metric("chunk").inc(1)
-        self.inbox.push(("chunk", chunk, handler))
-
     def enqueue_chunks(
         self, handler: Callable[[List[Any]], None], chunks: List[Any]
     ) -> None:
-        """Route a multi-chunk frame through the inbox as ONE item.
+        """Route one streamed chunk frame through the inbox as ONE item.
 
-        The §8.3 fast path: a frame of N chunks costs one ``msg_proc_ms``
-        handling slot instead of N, and ``handler`` receives the whole
-        list at once.
+        A frame of N chunks (N > 1 only under §8.3 batching) costs one
+        ``msg_proc_ms`` handling slot instead of N, and ``handler``
+        receives the whole list at once.
         """
         chunks = list(chunks)
         if not chunks:
@@ -254,11 +248,10 @@ class OpenNFController:
         #: Optional :class:`repro.net.channel.BatchConfig`. Installing
         #: one turns on the §8.3 fast path everywhere: queued sends
         #: coalesce into frames, chunk streams ship multi-chunk frames
-        #: paying one inbox slot each, and move/copy pipeline their
-        #: get→put hand-off. ``None`` keeps the classic per-message
-        #: path byte-identical.
-        self.batching = batching if (batching is None or batching.enabled) \
-            else None
+        #: paying one inbox slot each, and move/copy bound their
+        #: in-flight frame puts by its ``pipeline_window``. ``None``
+        #: keeps the classic per-message path.
+        self.batching = batching
         self.msg_proc_ms = msg_proc_ms
         self.nf_channel_latency_ms = nf_channel_latency_ms
         self.sw_channel_latency_ms = sw_channel_latency_ms

@@ -10,16 +10,15 @@ copy (on a timer, or from ``notify`` callbacks), and the NF's
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Tuple
 
 from repro.flowspace.filter import Filter
 from repro.nf.base import NFCrash
 from repro.nf.southbound import SouthboundError
 from repro.nf.state import Scope, StateChunk
-from repro.controller.operation import Operation
+from repro.controller.operation import Operation, scope_calls
 from repro.controller.pipeline import WindowedPutPipeline
 from repro.controller.reports import OperationReport
-from repro.sim.process import AllOf
 
 
 class CopyOperation(Operation):
@@ -100,20 +99,6 @@ class CopyOperation(Operation):
         put_event.add_callback(on_done)
         return put_event
 
-    def _scope_calls(self, scope: Scope):
-        if scope is Scope.PERFLOW:
-            return self.src.get_perflow, self.dst.put_perflow
-        if scope is Scope.MULTIFLOW:
-            return self.src.get_multiflow, self.dst.put_multiflow
-
-        def get_allflows(flt, stream=None, lock_per_chunk=False,
-                         lock_silent=False, compress=False,
-                         stream_frame=None):
-            return self.src.get_allflows(stream=stream, compress=compress,
-                                         stream_frame=stream_frame)
-
-        return get_allflows, self.dst.put_allflows
-
     def _abort_target(self) -> str:
         return self.dst.name
 
@@ -157,20 +142,19 @@ class CopyOperation(Operation):
         batching = self.controller.batching
         for scope in self.scopes:
             self._checkpoint()
-            getter, putter = self._scope_calls(scope)
+            getter, putter, _deleter = scope_calls(self.src, self.dst, scope)
             with self.trace.phase(
                 "scope.%s" % scope.value, mark="copied-%s" % scope.value
             ):
-                if self.parallel and batching is not None:
-                    # §8.3 fast path: multi-chunk frames, one inbox slot
-                    # per frame, windowed frame puts toward the
-                    # destination (see MoveOperation._transfer_state).
+                if self.parallel:
+                    # Framed streaming into windowed frame puts, as in
+                    # MoveOperation._transfer_state.
                     pipeline = WindowedPutPipeline(
                         self.sim,
                         lambda frame, _putter=putter: self._track_put(
                             _putter(frame), len(frame)
                         ),
-                        batching.pipeline_window,
+                        None if batching is None else batching.pipeline_window,
                     )
 
                     def handle_chunk_frame(frame, _scope=scope,
@@ -187,26 +171,9 @@ class CopyOperation(Operation):
                         compress=self.compress,
                     )
                     yield self.shard.inbox.drained()
-                    yield pipeline.drained()
+                    if pipeline.frames_submitted:
+                        yield pipeline.drained()
                     self._checkpoint()
-                elif self.parallel:
-                    put_events: List[Any] = []
-
-                    def handle_chunk(chunk: StateChunk, _putter=putter,
-                                     _scope=scope):
-                        self._note_chunk(_scope, chunk)
-                        put_events.append(self._track_put(_putter([chunk]), 1))
-
-                    yield getter(
-                        self.flt,
-                        stream=lambda c: self.shard.enqueue_chunk(
-                            handle_chunk, c
-                        ),
-                        compress=self.compress,
-                    )
-                    yield self.shard.inbox.drained()
-                    if put_events:
-                        yield AllOf(put_events)
                 else:
                     chunks = yield getter(self.flt, compress=self.compress)
                     for chunk in chunks:

@@ -20,7 +20,9 @@ Three guarantee levels:
 Two optimizations (§5.1.3), composable with any guarantee:
 
 * **parallelizing (PL)** — the source streams each chunk as soon as it
-  is serialized and the controller immediately issues a per-chunk put;
+  is serialized and the controller puts each arriving frame right away
+  (one chunk per frame, unless batching coalesces several; see
+  :mod:`repro.controller.pipeline`);
 * **early release (ER)** — late locking (events enabled per flow just
   before its chunk is serialized) plus per-flow release of buffered
   events as soon as that flow's put returns. Only valid for a
@@ -47,7 +49,7 @@ from repro.nf.base import NFCrash
 from repro.nf.events import DO_NOT_BUFFER, EventAction, PacketEvent
 from repro.nf.southbound import SouthboundError
 from repro.nf.state import Scope, StateChunk
-from repro.controller.operation import Operation
+from repro.controller.operation import Operation, scope_calls
 from repro.controller.pipeline import WindowedPutPipeline
 from repro.controller.reports import OperationReport
 from repro.sim.process import AllOf, AnyOf
@@ -279,11 +281,7 @@ class MoveOperation(Operation):
                         # the destination and retire the machine — the
                         # same packets the classic path would have
                         # flushed from the controller's buffer.
-                        yield self.switch.release_state_machine(
-                            self.flt, self.dst_port
-                        )
-                        yield self.switch.remove_state_machine(self.flt)
-                        self._xfsm_installed = False
+                        yield from self._retire_xfsm(self.dst_port)
                 elif not src_down:
                     # Destination died: restore the already-exported (and
                     # deleted) state to the source, stop intercepting
@@ -317,11 +315,7 @@ class MoveOperation(Operation):
                         # Destination died mid-offload: the restored
                         # source keeps serving, so the rings flush back
                         # to it and the machine comes out.
-                        yield self.switch.release_state_machine(
-                            self.flt, self.src_port
-                        )
-                        yield self.switch.remove_state_machine(self.flt)
-                        self._xfsm_installed = False
+                        yield from self._retire_xfsm(self.src_port)
                 if not src_down:
                     yield self.src.disable_events_covered(self.flt)
             except (NFCrash, SouthboundError) as recovery_exc:
@@ -346,6 +340,12 @@ class MoveOperation(Operation):
             self.trace.finish(aborted=self.report.aborted)
         self.done.trigger(self.report)
         return self.report
+
+    def _retire_xfsm(self, port: str):
+        """Flush the switch-local rings to ``port``; remove the machine."""
+        yield self.switch.release_state_machine(self.flt, port)
+        yield self.switch.remove_state_machine(self.flt)
+        self._xfsm_installed = False
 
     def _sb_stats(self) -> Dict[str, int]:
         return {
@@ -376,8 +376,14 @@ class MoveOperation(Operation):
 
     # -------------------------------------------------- LF / LF+OP (Figure 6)
 
-    def _run_loss_free(self, order_preserving: bool):
-        # shouldBufferEvents <- true; route events from src to this op.
+    def _capture_and_transfer(self):
+        """Figure 6's opening steps, shared by the LF paths.
+
+        shouldBufferEvents <- true and route the source's events to this
+        operation; ``srcInst.enableEvents(filter, DROP)`` (per flow via
+        late locking inside the get when early release is on); then
+        get/del/put.
+        """
         self._buffering = True
         self._interest_handles.append(
             self.controller.add_event_interest(
@@ -385,15 +391,15 @@ class MoveOperation(Operation):
             )
         )
         if not self.early_release:
-            # srcInst.enableEvents(filter, DROP)
             with self.trace.phase("events-enabled"):
                 yield self.src.enable_events(self.flt, EventAction.DROP)
-
-        # get/del/put (late-locking inside get when early_release).
         with self.trace.phase("state-transfer", mark="state-transferred") as ph:
             yield from self._transfer_state(
                 lock_per_chunk=self.early_release, parent=ph.span
             )
+
+    def _run_loss_free(self, order_preserving: bool):
+        yield from self._capture_and_transfer()
 
         # Flush events buffered at the controller; later ones forward
         # immediately. In the OP variant forwarded packets carry
@@ -465,17 +471,7 @@ class MoveOperation(Operation):
             ) as await_ph:
                 # Footnote 9: confirm via rule counters that the stored
                 # packet is really the last one forwarded to srcInst.
-                while True:
-                    packets, _bytes = (
-                        yield self.switch.read_counters(
-                            self.flt, MID_PRIORITY
-                        )
-                    )
-                    if packets == self._packet_in_count:
-                        break
-                    yield self.counter_poll_ms
-
-                await_ph.span.set(packet_ins=self._packet_in_count)
+                yield from self._await_rule_counters(await_ph.span)
                 # The last packet srcInst will see: the last one phase 1
                 # copied to us or, when the switch sent none that way,
                 # the last one the old route left queued at srcInst (a
@@ -490,11 +486,8 @@ class MoveOperation(Operation):
                     if last_uid not in self._src_evented_uids:
                         yield from self._await_src_event(
                             last_uid, "await-src-last")
-                    # wait(DST_PROCESSED_LAST_PKT)
-                    if last_uid not in self._dst_processed_uids:
-                        waiter = self.sim.event("await-dst-last")
-                        self._await_dst = (last_uid, waiter)
-                        yield waiter
+                    yield from self._await_dst_processed(
+                        last_uid, "await-dst-last")
 
         # dstInst.disableEvents(filter): release the destination buffer.
         with self.trace.phase("dst-release", mark="dst-released"):
@@ -528,23 +521,8 @@ class MoveOperation(Operation):
                 self.flt, BufferUntilRelease(trace_id=self.trace.trace_id)
             )
         self._xfsm_installed = True
-
-        self._buffering = True
-        self._interest_handles.append(
-            self.controller.add_event_interest(
-                self.src.name, self.flt, self._on_src_event
-            )
-        )
-        if not self.early_release:
-            # Stragglers surface as classic DROP events (late locking
-            # covers them per flow when early release is on).
-            with self.trace.phase("events-enabled"):
-                yield self.src.enable_events(self.flt, EventAction.DROP)
-
-        with self.trace.phase("state-transfer", mark="state-transferred") as ph:
-            yield from self._transfer_state(
-                lock_per_chunk=self.early_release, parent=ph.span
-            )
+        # Stragglers surface as classic DROP events.
+        yield from self._capture_and_transfer()
 
         # Reroute BEFORE releasing: when the machine's flush drains and
         # it steps to REDIRECT, fall-through arrivals hit this rule.
@@ -646,12 +624,7 @@ class MoveOperation(Operation):
             )
             self._flush_queues(mark=True)      # src events
             ctrl_buffered, self._ctrl_buffer = self._ctrl_buffer, []
-            if ctrl_buffered and self.obs.enabled:
-                self.obs.metrics.counter(
-                    "ctrl.move.buffered_packets_released"
-                ).inc(len(ctrl_buffered))
-                for packet in ctrl_buffered:
-                    self._record_packet("ctrl.release", packet, "redirect")
+            self._note_released(ctrl_buffered, "redirect")
             for packet in ctrl_buffered:
                 self._forward_to_dst(packet, True)
             self._buffering = False            # later arrivals: immediate
@@ -663,24 +636,31 @@ class MoveOperation(Operation):
             )
         with self.trace.phase("await-last-packet", mark=None) as await_ph:
             # Confirm the controller saw every redirected packet.
-            while True:
-                packets, _bytes = (
-                    yield self.switch.read_counters(
-                        self.flt, MID_PRIORITY
-                    )
-                )
-                if packets == self._packet_in_count:
-                    break
-                yield self.counter_poll_ms
-            await_ph.span.set(packet_ins=self._packet_in_count)
+            yield from self._await_rule_counters(await_ph.span)
             if self._last_packet is not None:
-                last_uid = self._last_packet.uid
-                if last_uid not in self._dst_processed_uids:
-                    waiter = self.sim.event("await-dst-last-strong")
-                    self._await_dst = (last_uid, waiter)
-                    yield waiter
+                yield from self._await_dst_processed(
+                    self._last_packet.uid, "await-dst-last-strong")
         with self.trace.phase("dst-release", mark="dst-released"):
             yield self.dst.disable_events(self.flt)
+
+    def _await_rule_counters(self, span):
+        """Poll the MID rule's counters until every packet it matched
+        has reached this operation as a packet-in."""
+        while True:
+            packets, _bytes = (
+                yield self.switch.read_counters(self.flt, MID_PRIORITY)
+            )
+            if packets == self._packet_in_count:
+                break
+            yield self.counter_poll_ms
+        span.set(packet_ins=self._packet_in_count)
+
+    def _await_dst_processed(self, uid: int, name: str):
+        """wait(DST_PROCESSED_LAST_PKT) for packet ``uid``."""
+        if uid not in self._dst_processed_uids:
+            waiter = self.sim.event(name)
+            self._await_dst = (uid, waiter)
+            yield waiter
 
     def _on_strong_packet_in(self, packet: Packet) -> None:
         self._packet_in_count += 1
@@ -717,7 +697,7 @@ class MoveOperation(Operation):
         batching = self.controller.batching
         for scope in self.scopes:
             self._checkpoint()
-            getter, putter, deleter = self._scope_calls(scope)
+            getter, putter, deleter = scope_calls(self.src, self.dst, scope)
             exported_before = len(self._exported_chunks)
             with self.trace.phase(
                 "transfer.%s" % scope.value, mark=None, parent=parent
@@ -726,13 +706,14 @@ class MoveOperation(Operation):
                     yield from self._transfer_scope_peer(
                         scope, getter, deleter, lock_per_chunk, silent_lock
                     )
-                elif self.parallel and batching is not None:
-                    # §8.3 fast path: chunks arrive in multi-chunk frames
-                    # (one inbox slot per frame) and forward to the
-                    # destination as windowed frame puts — the source
-                    # keeps streaming while earlier frames apply.
+                elif self.parallel:
+                    # §5.1.3 / §8.3: chunks stream in frames (one chunk
+                    # each without batching), every frame takes one
+                    # inbox slot and goes to the destination as one
+                    # windowed put while the source keeps streaming.
                     pipeline = WindowedPutPipeline(
-                        self.sim, putter, batching.pipeline_window,
+                        self.sim, putter,
+                        None if batching is None else batching.pipeline_window,
                         on_frame_done=(
                             self._release_frame if self.early_release else None
                         ),
@@ -756,37 +737,9 @@ class MoveOperation(Operation):
                     if deleter is not None and chunks:
                         yield deleter([c.flowid for c in chunks if c.flowid])
                     yield self.shard.inbox.drained()
-                    yield pipeline.drained()
-                    self._checkpoint()
-                elif self.parallel:
-                    put_events: List[Any] = []
-
-                    def handle_chunk(chunk: StateChunk, _putter=putter,
-                                     _scope=scope):
-                        self._note_chunk(_scope, chunk)
-                        put_event = _putter([chunk])
-                        if self.early_release:
-                            put_event.add_callback(
-                                lambda _evt, c=chunk: self._release_flow(c.flowid)
-                            )
-                        put_events.append(put_event)
-
-                    # Each streamed chunk passes through the controller's
-                    # serialized inbox before its put is issued (§8.3).
-                    chunks = yield getter(
-                        self.flt,
-                        stream=lambda c: self.shard.enqueue_chunk(
-                            handle_chunk, c
-                        ),
-                        lock_per_chunk=lock_per_chunk,
-                        lock_silent=silent_lock,
-                        compress=self.compress,
-                    )
-                    if deleter is not None and chunks:
-                        yield deleter([c.flowid for c in chunks if c.flowid])
-                    yield self.shard.inbox.drained()
-                    if put_events:
-                        yield AllOf(put_events)
+                    # A scope that exported no chunk has no put to await.
+                    if pipeline.frames_submitted:
+                        yield pipeline.drained()
                     self._checkpoint()
                 else:
                     chunks = yield getter(self.flt, compress=self.compress)
@@ -880,26 +833,6 @@ class MoveOperation(Operation):
         if put_events:
             yield AllOf(put_events)
 
-    def _scope_calls(self, scope: Scope):
-        if scope is Scope.PERFLOW:
-            return (self.src.get_perflow, self.dst.put_perflow, self.src.del_perflow)
-        if scope is Scope.MULTIFLOW:
-            return (
-                self.src.get_multiflow,
-                self.dst.put_multiflow,
-                self.src.del_multiflow,
-            )
-
-        def get_allflows(flt, stream=None, lock_per_chunk=False,
-                         lock_silent=False, compress=False, raw_stream=None,
-                         stream_frame=None):
-            return self.src.get_allflows(
-                stream=stream, compress=compress, raw_stream=raw_stream,
-                stream_frame=stream_frame,
-            )
-
-        return (get_allflows, self.dst.put_allflows, None)
-
     # --------------------------------------------------------- event plumbing
 
     def _on_src_event(self, event: PacketEvent) -> None:
@@ -970,8 +903,17 @@ class MoveOperation(Operation):
             flow=packet.flow_key(),
         )
 
+    def _note_released(self, packets: List[Packet], where: str) -> None:
+        """Count and record buffered packets leaving for the destination."""
+        if packets and self.obs.enabled:
+            self.obs.metrics.counter(
+                "ctrl.move.buffered_packets_released"
+            ).inc(len(packets))
+            for packet in packets:
+                self._record_packet("ctrl.release", packet, where)
+
     def _release_frame(self, frame: List[StateChunk]) -> None:
-        """Early release for a whole applied frame (batched transfer)."""
+        """Early release for every flow in an applied frame."""
         for chunk in frame:
             self._release_flow(chunk.flowid)
 
@@ -999,12 +941,7 @@ class MoveOperation(Operation):
             else:
                 kept.append(packet)
         self._event_buffer = kept
-        if flushed and self.obs.enabled:
-            self.obs.metrics.counter(
-                "ctrl.move.buffered_packets_released"
-            ).inc(len(flushed))
-            for packet in flushed:
-                self._record_packet("ctrl.release", packet, "early")
+        self._note_released(flushed, "early")
         if self._xfsm_installed:
             # Early release composes per flow: one release message flushes
             # this flow's switch-local ring to the destination (behind any
@@ -1015,12 +952,7 @@ class MoveOperation(Operation):
     def _flush_queues(self, mark: bool, port: Optional[str] = None) -> None:
         target = self.dst_port if port is None else port
         buffered, self._event_buffer = self._event_buffer, []
-        if buffered and self.obs.enabled:
-            self.obs.metrics.counter(
-                "ctrl.move.buffered_packets_released"
-            ).inc(len(buffered))
-            for packet in buffered:
-                self._record_packet("ctrl.release", packet, "flush")
+        self._note_released(buffered, "flush")
         for packet in buffered:
             if mark:
                 packet.mark(DO_NOT_BUFFER)

@@ -28,6 +28,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.flowspace.filter import Filter
 from repro.nf.southbound import SouthboundError
+from repro.nf.state import Scope
 from repro.controller.reports import OperationReport
 
 
@@ -40,6 +41,26 @@ class OperationAborted(SouthboundError):
     failure (exported chunks return to the source, events are disabled,
     buffered packets flush back), so ``abort()`` never strands state.
     """
+
+
+def scope_calls(src, dst, scope: Scope):
+    """The ``(get, put, delete)`` southbound calls for one state scope.
+
+    ``getAllflows`` takes no filter and never locks, so its getter
+    accepts and ignores the per-flow getters' filter and locking
+    arguments; all-flows state has no delete call.
+    """
+    if scope is Scope.PERFLOW:
+        return src.get_perflow, dst.put_perflow, src.del_perflow
+    if scope is Scope.MULTIFLOW:
+        return src.get_multiflow, dst.put_multiflow, src.del_multiflow
+
+    def get_allflows(_flt, compress=False, raw_stream=None,
+                     stream_frame=None, **_locking):
+        return src.get_allflows(compress=compress, raw_stream=raw_stream,
+                                stream_frame=stream_frame)
+
+    return get_allflows, dst.put_allflows, None
 
 
 class Operation:

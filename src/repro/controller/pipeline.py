@@ -1,13 +1,14 @@
-"""Windowed get→put pipelining for state transfer (§8.3 fast path).
+"""Windowed get→put pipelining for state transfer (§5.1.3, §8.3).
 
-The classic parallelized transfer issues one ``put`` per streamed chunk
-the moment it clears the controller inbox — correct, but every chunk
-pays its own southbound RPC. With batching enabled, chunks arrive at
-the controller in multi-chunk *frames*; :class:`WindowedPutPipeline`
-forwards each frame to the destination as a single ``put`` RPC while
-keeping at most ``window`` frames in flight, so the source keeps
-streaming while earlier frames are still being applied — a pipelined
-hand-off instead of today's lock-step per-chunk one.
+Every parallelized transfer streams through here. Chunks reach the
+controller in *frames* — multi-chunk frames when a
+:class:`~repro.net.channel.BatchConfig` is installed, one-chunk frames
+when it is not — and :class:`WindowedPutPipeline` forwards each frame to
+the destination as a single ``put`` RPC the moment it clears the
+controller inbox. With batching the config's ``pipeline_window`` bounds
+how many frames are in flight, so the source keeps streaming while
+earlier frames are still being applied; without it the window is
+unbounded, which is the paper's per-chunk put of §5.1.3.
 
 On a put failure the pipeline stops issuing queued frames, lets the
 in-flight ones settle, and fails its :meth:`drained` event with the
@@ -18,6 +19,7 @@ restores them from the operation's export log).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
@@ -25,18 +27,22 @@ from repro.sim.core import Event, Simulator
 
 
 class WindowedPutPipeline:
-    """Forward chunk frames via ``putter`` with bounded in-flight window."""
+    """Forward chunk frames via ``putter`` with bounded in-flight window.
+
+    ``window=None`` leaves the window unbounded: every frame is put as
+    soon as it is submitted.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         putter: Callable[[List[Any]], Event],
-        window: int,
+        window: Optional[int],
         on_frame_done: Optional[Callable[[List[Any]], None]] = None,
     ) -> None:
         self.sim = sim
         self.putter = putter
-        self.window = max(1, window)
+        self.window = math.inf if window is None else window
         #: Called with each frame once its put completed successfully
         #: (hook for early release: flows in an applied frame can be
         #: rerouted before the whole transfer finishes).
@@ -47,15 +53,12 @@ class WindowedPutPipeline:
         self._drained_evt: Optional[Event] = None
         self.frames_submitted = 0
         self.frames_completed = 0
-        self.chunks_submitted = 0
-        self.max_in_flight = 0
 
     def submit(self, frame: List[Any]) -> None:
         """Queue one chunk frame for a windowed put."""
         if not frame:
             return
         self.frames_submitted += 1
-        self.chunks_submitted += len(frame)
         if self._failure is not None:
             return  # transfer already failing; recovery will restore
         if self._in_flight < self.window:
@@ -65,7 +68,6 @@ class WindowedPutPipeline:
 
     def _issue(self, frame: List[Any]) -> None:
         self._in_flight += 1
-        self.max_in_flight = max(self.max_in_flight, self._in_flight)
         evt = self.putter(frame)
         evt.add_callback(lambda e, f=frame: self._on_put_done(f, e))
 

@@ -17,8 +17,10 @@ payload bytes, when ``flush_interval_ms`` elapses, or when a plain
 :meth:`send` needs the wire (an *ordering barrier* — FIFO across queued
 and unqueued traffic is preserved by flushing the pending frame first).
 With no :class:`BatchConfig` installed, ``queue_send`` degrades to
-``send`` and the channel is byte-for-byte identical to the classic path,
-which the determinism regression suite pins down.
+``send``. A plain send is deliberately not a one-message frame: such a
+frame would be ``BATCH_ENTRY_OVERHEAD_BYTES`` longer on the wire, count
+as a frame, and wait for the flush timer (unless ``batch_max_msgs`` is
+1), all of which would move the classic timeline.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ GIGABIT_BYTES_PER_MS = 125_000.0
 class BatchConfig:
     """Tuning knobs for the control-plane batching fast path (§8.3).
 
-    ``enabled=False`` (or simply not installing a config) keeps the
-    classic one-message-per-send behavior. ``pipeline_window`` bounds
-    how many state-chunk frames ``move``/``copy`` keep in flight toward
-    the destination while the source is still streaming (the windowed
-    get→put pipeline); it rides along here because the same config
-    object travels from the deployment down to every operation.
+    Not installing a config keeps the classic one-message-per-send
+    behavior. ``pipeline_window`` bounds how many state-chunk frames
+    ``move``/``copy`` keep in flight toward the destination while the
+    source is still streaming (the windowed get→put pipeline); it rides
+    along here because the same config object travels from the
+    deployment down to every operation.
     """
 
-    enabled: bool = True
     #: Flush once this many messages are queued.
     batch_max_msgs: int = 16
     #: Flush once the queued payload reaches this many bytes. Sized so
@@ -75,11 +76,6 @@ class BatchConfig:
             raise ValueError("flush_interval_ms must be >= 0")
         if self.pipeline_window < 1:
             raise ValueError("pipeline_window must be >= 1")
-
-    @classmethod
-    def off(cls) -> "BatchConfig":
-        """An explicit 'batching disabled' config (for sweeps)."""
-        return cls(enabled=False)
 
 
 class ControlChannel:
@@ -199,10 +195,6 @@ class ControlChannel:
 
     # ------------------------------------------------------------- batching
 
-    @property
-    def batching_active(self) -> bool:
-        return self.batching is not None and self.batching.enabled
-
     def queue_send(
         self,
         size_bytes: int,
@@ -212,9 +204,9 @@ class ControlChannel:
     ) -> None:
         """Queue a message for the next batch frame (§8.3 fast path).
 
-        Without an enabled :class:`BatchConfig` this is exactly
-        :meth:`send`. With one, the message joins the pending frame and
-        is delivered when the frame flushes. ``coalesce`` names a
+        Without a :class:`BatchConfig` this is exactly :meth:`send`.
+        With one, the message joins the pending frame and is delivered
+        when the frame flushes. ``coalesce`` names a
         group handler: consecutive queued messages sharing the same
         ``coalesce`` callable are delivered as **one** call
         ``coalesce([payload, ...])`` (each such message must carry
@@ -222,7 +214,7 @@ class ControlChannel:
         frames reach the controller with a single per-frame
         :class:`~repro.controller.pump.ChunkPump` handling cost.
         """
-        if not self.batching_active:
+        if self.batching is None:
             self.send(size_bytes, deliver, *args)
             return
         if coalesce is not None and len(args) != 1:

@@ -14,15 +14,15 @@ Method names follow the paper's API:
 :class:`~repro.sim.core.Event` that triggers with the result once the
 operation (including NF-side processing time) completes.
 
-``get_*`` accept a ``stream`` callback: when provided, the NF ships each
-chunk to the controller the moment it is serialized instead of batching
-the full result — the parallelizing optimization of §5.1.3.
-``lock_per_chunk`` enables late locking for the early-release
-optimization. ``stream_frame`` is the §8.3 batching variant: chunks
-still leave the NF as they serialize, but they coalesce into multi-chunk
-frames on the wire (via the channel's :class:`~repro.net.channel.
-BatchConfig`) and the callback receives each frame's chunk list in one
-call — one controller handling cost per frame instead of per chunk.
+``get_*`` accept a ``stream_frame`` callback: when provided, the NF
+ships each chunk to the controller the moment it is serialized instead
+of returning the full result at the end — the parallelizing
+optimization of §5.1.3 — and the callback receives the chunks one wire
+frame at a time, as a list. With a :class:`~repro.net.channel.
+BatchConfig` on the channel, chunks coalesce into multi-chunk frames
+(§8.3), so the controller pays one handling cost per frame; without
+one, every frame holds a single chunk. ``lock_per_chunk`` enables late
+locking for the early-release optimization.
 
 Reliable mode (``reliable=True``, switched on whenever a
 :class:`~repro.faults.FaultPlan` is installed): every RPC carries a
@@ -132,13 +132,12 @@ class NFClient:
         self.from_nf = from_nf or ControlChannel(
             sim, name="%s->ctrl" % nf.name, obs=self.obs
         )
-        #: Optional batching config; installs on both channels so chunk
-        #: streams and acks coalesce into frames (§8.3 fast path).
-        self.batch = batch if (batch is None or batch.enabled) else None
-        if self.batch is not None:
+        # An optional batching config installs on both channels so chunk
+        # streams and acks coalesce into frames (§8.3 fast path).
+        if batch is not None:
             for channel in (self.to_nf, self.from_nf):
                 if channel.batching is None:
-                    channel.batching = self.batch
+                    channel.batching = batch
         self.reliable = reliable
         self.retry = retry or RetryPolicy()
         self._request_ids = itertools.count(1)
@@ -319,7 +318,6 @@ class NFClient:
         self,
         scope: Scope,
         flt: Filter,
-        stream: Optional[Callable[[StateChunk], None]],
         lock_per_chunk: bool,
         lock_silent: bool = False,
         compress: bool = False,
@@ -329,13 +327,12 @@ class NFClient:
         """``raw_stream`` receives chunks NF-side, with no channel hop:
         the caller ships them itself (peer-to-peer transfer, paper
         footnote 10). ``stream_frame`` receives controller-side chunk
-        *lists*, one per coalesced wire frame (§8.3 batching); without
-        an active batching config it degrades to one-chunk frames.
-        ``stream``/``raw_stream``/``stream_frame`` are mutually
-        exclusive."""
+        *lists*, one per wire frame: multi-chunk frames when the channel
+        batches, one-chunk frames when it does not. The two are
+        mutually exclusive."""
         done = self.sim.event("get-%s@%s" % (scope.value, self.nf.name))
         rid = self._next_request_id()
-        streamed = stream is not None or stream_frame is not None
+        streamed = stream_frame is not None
         span = self._rpc_span(
             "get.%s" % scope.value,
             filter=str(flt),
@@ -345,18 +342,11 @@ class NFClient:
         #: duplicated chunk messages are reconciled against this.
         received_ids: set = set()
 
-        def deliver_fresh(chunks: List[StateChunk]) -> None:
-            if stream_frame is not None:
-                stream_frame(chunks)
-            else:
-                for chunk in chunks:
-                    stream(chunk)
-
         def stream_recv(chunk: StateChunk) -> None:
             if id(chunk) in received_ids:
                 return  # duplicated or already-recovered chunk
             received_ids.add(id(chunk))
-            deliver_fresh([chunk])
+            stream_frame([chunk])
 
         def frame_recv(chunks: List[StateChunk]) -> None:
             # One coalesced frame of chunks. A replayed frame has
@@ -367,19 +357,17 @@ class NFClient:
             for chunk in fresh:
                 received_ids.add(id(chunk))
             if fresh:
-                deliver_fresh(fresh)
+                stream_frame(fresh)
 
         def stream_back(chunk: StateChunk) -> None:
-            # NF-side shipping. With frames requested and batching
-            # active, chunks join the channel's pending frame and are
-            # handed to frame_recv a whole frame at a time.
-            size = chunk.wire_size_bytes + CHUNK_OVERHEAD_BYTES
-            if stream_frame is not None and self.from_nf.batching_active:
-                self.from_nf.queue_send(
-                    size, stream_recv, chunk, coalesce=frame_recv
-                )
-            else:
-                self.from_nf.send(size, stream_recv, chunk)
+            # NF-side shipping. With batching active, chunks join the
+            # channel's pending frame and are handed to frame_recv a
+            # whole frame at a time; otherwise queue_send is a plain
+            # send and stream_recv gets each chunk as its own frame.
+            self.from_nf.queue_send(
+                chunk.wire_size_bytes + CHUNK_OVERHEAD_BYTES,
+                stream_recv, chunk, coalesce=frame_recv,
+            )
 
         def close_ok(chunks: List[StateChunk]) -> None:
             # Controller-side: the final response names every chunk, so
@@ -459,7 +447,6 @@ class NFClient:
     def get_perflow(
         self,
         flt: Filter,
-        stream: Optional[Callable[[StateChunk], None]] = None,
         lock_per_chunk: bool = False,
         lock_silent: bool = False,
         compress: bool = False,
@@ -467,13 +454,12 @@ class NFClient:
         stream_frame: Optional[Callable[[List[StateChunk]], None]] = None,
     ) -> Event:
         """``getPerflow(filter)``; triggers with ``List[StateChunk]``."""
-        return self._get(Scope.PERFLOW, flt, stream, lock_per_chunk,
+        return self._get(Scope.PERFLOW, flt, lock_per_chunk,
                          lock_silent, compress, raw_stream, stream_frame)
 
     def get_multiflow(
         self,
         flt: Filter,
-        stream: Optional[Callable[[StateChunk], None]] = None,
         lock_per_chunk: bool = False,
         lock_silent: bool = False,
         compress: bool = False,
@@ -481,18 +467,17 @@ class NFClient:
         stream_frame: Optional[Callable[[List[StateChunk]], None]] = None,
     ) -> Event:
         """``getMultiflow(filter)``; triggers with ``List[StateChunk]``."""
-        return self._get(Scope.MULTIFLOW, flt, stream, lock_per_chunk,
+        return self._get(Scope.MULTIFLOW, flt, lock_per_chunk,
                          lock_silent, compress, raw_stream, stream_frame)
 
     def get_allflows(
         self,
-        stream: Optional[Callable[[StateChunk], None]] = None,
         compress: bool = False,
         raw_stream: Optional[Callable[[StateChunk], None]] = None,
         stream_frame: Optional[Callable[[List[StateChunk]], None]] = None,
     ) -> Event:
         """``getAllflows()``; triggers with ``List[StateChunk]``."""
-        return self._get(Scope.ALLFLOWS, Filter.wildcard(), stream, False,
+        return self._get(Scope.ALLFLOWS, Filter.wildcard(), False,
                          False, compress, raw_stream, stream_frame)
 
     def list_flowids(self, scope: Scope, flt: Filter) -> Event:

@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.operation import OperationTrace
@@ -215,7 +214,6 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "InMemoryExporter",
     "JsonLinesExporter",
     "MetricsRegistry",

@@ -9,16 +9,14 @@ enough to leave compiled into the hot paths behind an ``enabled`` check.
 
 Scale-readiness (two mechanisms the soak harness depends on):
 
-* **Bounded histograms.** The default :meth:`MetricsRegistry.histogram`
-  now returns a :class:`BoundedHistogram` storing log-spaced bucket
-  counts (growth factor ``GAMMA`` = 2^(1/4), ~19% relative bucket
-  width) instead of every raw sample, so a million observations cost a
-  few dozen ints. ``count``/``sum``/``min``/``max``/``mean`` stay
-  *exact*; percentiles are nearest-rank over the cumulative buckets,
-  clamped to the observed ``[min, max]``, and therefore within one
-  bucket width of the raw-sample answer. The raw implementation
-  (:class:`Histogram`) is kept as the differential-test oracle behind
-  ``MetricsRegistry(bounded_histograms=False)``.
+* **Bounded histograms.** :meth:`MetricsRegistry.histogram` returns a
+  :class:`BoundedHistogram` storing log-spaced bucket counts (growth
+  factor ``GAMMA`` = 2^(1/4), ~19% relative bucket width) instead of
+  every raw sample, so a million observations cost a few dozen ints.
+  ``count``/``sum``/``min``/``max``/``mean`` stay *exact*; percentiles
+  are nearest-rank over the cumulative buckets, clamped to the observed
+  ``[min, max]``, and therefore within one bucket width of the
+  raw-sample answer, which the test suite's raw-sample oracle checks.
 * **Label-cardinality guard.** Every instrument caps its distinct label
   sets (``max_label_sets``, per registry); the first overflowing label
   set warns once and all overflow aggregates into a single
@@ -200,22 +198,6 @@ class _BoundGauge:
         series[key] = series.get(key, 0) + delta
 
 
-class _BoundRawHistogram:
-    """Pre-resolved raw-histogram handle (appends to the sample list)."""
-
-    __slots__ = ("_series", "_key")
-
-    def __init__(self, series: Dict[LabelKey, Any], key: LabelKey) -> None:
-        self._series = series
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        samples = self._series.get(self._key)
-        if samples is None:
-            samples = self._series[self._key] = []
-        samples.append(value)
-
-
 class _BoundBucketHistogram:
     """Pre-resolved bounded-histogram handle."""
 
@@ -285,65 +267,6 @@ class Gauge(_Instrument):
 
     def value(self, **labels: Any) -> float:
         return self._series.get(_label_key(labels), 0)
-
-
-class Histogram(_Instrument):
-    """Raw-sample distribution — the differential-test oracle.
-
-    Stores every observed value per label set, so nearest-rank
-    percentiles are exact. Memory grows with the observation count;
-    production registries use :class:`BoundedHistogram` instead (select
-    this implementation with ``MetricsRegistry(bounded_histograms=False)``).
-    """
-
-    kind = "histogram"
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
-        samples = self._series.get(key)
-        if samples is None:
-            samples = self._series[key] = []
-        samples.append(value)
-
-    def bind(self, **labels: Any) -> _BoundRawHistogram:
-        """A fast handle pre-resolved to one label set (hot paths)."""
-        return _BoundRawHistogram(self._series, self._key(labels))
-
-    def values(self, **labels: Any) -> List[float]:
-        return list(self._series.get(_label_key(labels), []))
-
-    def count(self, **labels: Any) -> int:
-        return len(self._series.get(_label_key(labels), []))
-
-    def sum(self, **labels: Any) -> float:
-        return sum(self._series.get(_label_key(labels), []))
-
-    def min(self, **labels: Any) -> Optional[float]:
-        samples = self._series.get(_label_key(labels))
-        return min(samples) if samples else None
-
-    def max(self, **labels: Any) -> Optional[float]:
-        samples = self._series.get(_label_key(labels))
-        return max(samples) if samples else None
-
-    def mean(self, **labels: Any) -> Optional[float]:
-        samples = self._series.get(_label_key(labels))
-        return sum(samples) / len(samples) if samples else None
-
-    def percentile(self, q: float, **labels: Any) -> Optional[float]:
-        """Nearest-rank percentile of one series (``None`` when empty)."""
-        return percentile_of(self._series.get(_label_key(labels), []), q)
-
-    def _snapshot_value(self, value: List[float]) -> Dict[str, float]:
-        summary = {
-            "count": len(value),
-            "sum": sum(value),
-            "min": min(value),
-            "max": max(value),
-        }
-        for q in PERCENTILES:
-            summary["p%d" % q] = percentile_of(value, q)
-        return summary
 
 
 class _Buckets:
@@ -422,13 +345,11 @@ class _Buckets:
 class BoundedHistogram(_Instrument):
     """Log-bucket distribution with fixed memory per series.
 
-    The production default behind :meth:`MetricsRegistry.histogram`:
-    same ``observe``/``count``/``sum``/``min``/``max``/``mean``/
-    ``percentile`` surface and snapshot shape as the raw
-    :class:`Histogram`, but storage is bucket counts, so soak-length
-    runs cannot grow memory with the observation count. ``values()``
-    is unavailable — request the raw oracle explicitly when a test
-    needs exact samples.
+    What :meth:`MetricsRegistry.histogram` hands out: an
+    ``observe``/``count``/``sum``/``min``/``max``/``mean``/
+    ``percentile`` surface whose storage is bucket counts, so
+    soak-length runs cannot grow memory with the observation count.
+    ``values()`` is unavailable: no raw samples are kept.
     """
 
     kind = "histogram"
@@ -447,8 +368,7 @@ class BoundedHistogram(_Instrument):
     def values(self, **labels: Any) -> List[float]:
         raise TypeError(
             "histogram %r is bounded (log buckets) and does not retain raw "
-            "samples; build the registry with bounded_histograms=False for "
-            "the raw-sample oracle" % self.name
+            "samples" % self.name
         )
 
     def count(self, **labels: Any) -> int:
@@ -493,20 +413,15 @@ class BoundedHistogram(_Instrument):
 class MetricsRegistry:
     """Named instruments, created on first use.
 
-    ``bounded_histograms`` selects the histogram implementation:
-    ``True`` (default) uses fixed-memory :class:`BoundedHistogram`,
-    ``False`` the raw-sample :class:`Histogram` oracle.
     ``max_label_sets`` is the per-instrument cardinality cap handed to
     every instrument (None = unbounded).
     """
 
     def __init__(
         self,
-        bounded_histograms: bool = True,
         max_label_sets: Optional[int] = DEFAULT_MAX_LABEL_SETS,
     ) -> None:
         self._instruments: Dict[str, _Instrument] = {}
-        self.bounded_histograms = bounded_histograms
         self.max_label_sets = max_label_sets
         #: Pull collectors, keyed for idempotent re-registration: each
         #: is called with the registry right before any registry-wide
@@ -534,9 +449,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str):
-        cls = BoundedHistogram if self.bounded_histograms else Histogram
-        return self._get(name, cls)
+    def histogram(self, name: str) -> BoundedHistogram:
+        return self._get(name, BoundedHistogram)
 
     def add_collector(self, key: Any, fn) -> None:
         """Register (idempotently, by ``key``) a pull collector.
@@ -577,9 +491,8 @@ class MetricsRegistry:
         """Exposition-format text dump of every instrument.
 
         Counters and gauges render one sample per label set; histograms
-        (raw or bounded) render as summaries (``{quantile="0.5"}`` …)
-        plus ``_sum`` and ``_count`` samples, all via the instrument's
-        own snapshot summary so both implementations share one path.
+        render as summaries (``{quantile="0.5"}`` …) plus ``_sum`` and
+        ``_count`` samples, via the instrument's own snapshot summary.
         """
         self.collect()
         lines: List[str] = []

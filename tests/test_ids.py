@@ -378,7 +378,8 @@ class TestConnLogRendering:
         path = str(tmp_path / "conn.log")
         count = write_conn_log(ids, path)
         assert count == 1
-        text = open(path).read()
+        with open(path) as handle:
+            text = handle.read()
         assert text.startswith("#separator")
         assert "#fields\tts\tid" in text
         lines = [l for l in text.splitlines() if not l.startswith("#")]

@@ -17,6 +17,8 @@ from repro.harness import run_move_experiment
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import GAMMA, OVERFLOW_LABELS, percentile_of
 
+from tests.oracles.raw_histogram import Histogram
+
 pytestmark = pytest.mark.obs
 
 
@@ -63,7 +65,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_aggregates(self):
-        hist = MetricsRegistry(bounded_histograms=False).histogram("rpc_ms")
+        hist = Histogram("rpc_ms")
         for value in (2.0, 4.0, 9.0):
             hist.observe(value, op="get")
         assert hist.count(op="get") == 3
@@ -109,7 +111,7 @@ class TestHistogram:
         }
 
     def test_percentiles_nearest_rank(self):
-        hist = MetricsRegistry(bounded_histograms=False).histogram("rpc_ms")
+        hist = Histogram("rpc_ms")
         for value in range(1, 101):
             hist.observe(float(value))
         assert hist.percentile(50) == 50.0
@@ -119,10 +121,8 @@ class TestHistogram:
         assert hist.percentile(50, op="missing") is None
 
     def test_percentile_edge_cases(self):
-        for bounded in (False, True):
-            hist = MetricsRegistry(
-                bounded_histograms=bounded
-            ).histogram("rpc_ms")
+        for hist in (Histogram("rpc_ms"),
+                     MetricsRegistry().histogram("rpc_ms")):
             hist.observe(7.5)
             # A single sample IS every percentile.
             assert hist.percentile(0) == 7.5
@@ -147,10 +147,8 @@ class TestHistogram:
         log-bucket width of the exact nearest-rank answer."""
         rng = random.Random(20260808)
         for trial in range(20):
-            exact_reg = MetricsRegistry(bounded_histograms=False)
-            approx_reg = MetricsRegistry()
-            exact_hist = exact_reg.histogram("lat")
-            approx_hist = approx_reg.histogram("lat")
+            exact_hist = Histogram("lat")
+            approx_hist = MetricsRegistry().histogram("lat")
             n = rng.randrange(1, 400)
             for _ in range(n):
                 # Mix of magnitudes: sub-ms to tens of seconds.
@@ -271,8 +269,7 @@ class TestBoundHandles:
         assert hist.count(op="get") == 1
 
     def test_bound_raw_histogram(self):
-        registry = MetricsRegistry(bounded_histograms=False)
-        hist = registry.histogram("lat")
+        hist = Histogram("lat")
         handle = hist.bind(op="get")
         handle.observe(1.0)
         handle.observe(2.0)

@@ -42,7 +42,8 @@ class TestGetPut:
         sim, nf, client = wired
         feed_flows(sim, nf, 3)
         streamed = []
-        done = client.get_perflow(Filter.wildcard(), stream=streamed.append)
+        done = client.get_perflow(Filter.wildcard(),
+                                  stream_frame=streamed.extend)
         sim.run()
         assert len(streamed) == 3
         assert len(done.value) == 3

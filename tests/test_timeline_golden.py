@@ -1,4 +1,4 @@
-"""Timeline goldens: three runs pinned byte-for-byte across commits.
+"""Timeline goldens: runs pinned byte-for-byte across commits.
 
 Each run is reduced to one sha256 over everything observable about its
 timeline — every NF's processing log, the number of simulator events,
@@ -8,9 +8,11 @@ A refactor of the control plane that changes nothing may not move any
 of these digests; a change that is meant to alter behaviour must
 re-record them and say why.
 
-The three runs cover the single-shard path, the two-shard path with the
-batched transport and switch offload on, and a cross-shard ownership
-handoff between two overlapping moves.
+The runs cover the single-shard path, the two-shard path with the
+batched transport and switch offload on, a cross-shard ownership
+handoff between two overlapping moves, the parallelized early-release
+move and the parallel per-flow copy on the unbatched transport, and a
+move whose flow space holds no state, with batching off and on.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import json
 from repro.controller.move import Guarantee
 from repro.flowspace import Filter
 from repro.harness import Deployment, run_move_experiment
+from repro.harness.scenarios import LOCAL_NET_FILTER
 from repro.net.packet import reset_uid_counter
 from repro.nfs.dummy import DummyNF
 
@@ -32,6 +35,22 @@ GOLDEN_SMOKE_MOVE_2_SHARDS_BATCHED_OFFLOAD = (
 )
 GOLDEN_CROSS_SHARD_PAIR = (
     "fbc294afae7618ad0ed6376b9e1c53cc96ea7c34268daf815b0b52510f5e3aaf"
+)
+GOLDEN_SMOKE_MOVE_EARLY_RELEASE = (
+    "d032118aeacf2439a9b87b8bf23370d475db44f51548a1d2d41606d91320f7a2"
+)
+GOLDEN_COPY_PERFLOW = (
+    "dd0358e5776f0a76a7d6a6cc70e772819f1f53f076bd31426788fb767d4e06d6"
+)
+GOLDEN_EMPTY_SCOPE_PAIR = (
+    "ca517d37fb8213f0769bc3b5932d3f59e32ac40b9d70e0059096e4938d1a96aa"
+)
+#: Re-recorded when the unbatched and batched parallel transfers became
+#: one framed path: a scope that exports no chunk no longer waits on the
+#: empty put pipeline, one zero-delay simulator step fewer per empty
+#: scope (200 -> 199 events here; sim times and messages unchanged).
+GOLDEN_EMPTY_SCOPE_PAIR_BATCHED = (
+    "6be1b7cf6668c75b2e1f1c4986622416f2063ec7ff12575da8566c63b605dcfe"
 )
 
 
@@ -104,6 +123,42 @@ def cross_shard_pair_digest() -> str:
     return timeline_digest(dep, [first.report, later[0].report])
 
 
+def copy_perflow_digest() -> str:
+    """The ``bench_smoke`` trace with a parallel per-flow copy instead."""
+    reset_uid_counter()
+    result = run_move_experiment(
+        n_flows=120, rate_pps=2500.0, seed=7,
+        operation=lambda dep: dep.controller.copy(
+            "inst1", "inst2", LOCAL_NET_FILTER, scope="per"
+        ),
+    )
+    return timeline_digest(result.deployment, [result.report])
+
+
+def empty_scope_pair_digest(batching) -> str:
+    """A loss-free move of a flow space that holds no state, then a
+    loss-free order-preserving move of one that does."""
+    reset_uid_counter()
+    dep = Deployment(batching=batching)
+    for name in ("inst1", "inst2"):
+        dep.add_nf(DummyNF(dep.sim, name))
+    dep.nfs["inst1"].preload(40, base_ip="172.17.0.0")
+    empty = dep.controller.move(
+        "inst1", "inst2", Filter({"nw_src": "172.18.0.0/16"}),
+        guarantee=Guarantee.LOSS_FREE,
+    )
+    later = []
+    dep.sim.schedule(1.0, lambda: later.append(dep.controller.move(
+        "inst1", "inst2", Filter({"nw_src": "172.17.0.0/16"}),
+        guarantee=Guarantee.ORDER_PRESERVING,
+    )))
+    dep.run()
+    reports = [empty.report, later[0].report]
+    assert not any(report.aborted for report in reports)
+    assert not reports[0].chunks_moved and reports[1].chunks_moved
+    return timeline_digest(dep, reports)
+
+
 def test_smoke_move_one_shard_matches_golden():
     assert smoke_move_digest(shards=1) == GOLDEN_SMOKE_MOVE_1_SHARD
 
@@ -115,3 +170,21 @@ def test_smoke_move_two_shards_batched_offload_matches_golden():
 
 def test_cross_shard_move_pair_matches_golden():
     assert cross_shard_pair_digest() == GOLDEN_CROSS_SHARD_PAIR
+
+
+def test_smoke_move_early_release_matches_golden():
+    digest = smoke_move_digest(shards=1, early_release=True)
+    assert digest == GOLDEN_SMOKE_MOVE_EARLY_RELEASE
+
+
+def test_parallel_copy_matches_golden():
+    assert copy_perflow_digest() == GOLDEN_COPY_PERFLOW
+
+
+def test_empty_scope_move_matches_golden():
+    assert empty_scope_pair_digest(None) == GOLDEN_EMPTY_SCOPE_PAIR
+
+
+def test_empty_scope_move_batched_matches_golden():
+    digest = empty_scope_pair_digest(True)
+    assert digest == GOLDEN_EMPTY_SCOPE_PAIR_BATCHED
